@@ -3,7 +3,8 @@
 Two subcommands:
 
 * ``test``      -- ingest two series from local delimited files, print
-  group diagnostics and all six two-sample tests.
+  group diagnostics and all six two-sample tests, as run by
+  ``simlab.evaluate`` (the same evaluation the Monte Carlo lab uses).
 * ``simulate``  -- run a named preset or a single explicit scenario through
   the Monte Carlo lab and write the table artifacts.
 
@@ -17,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,10 +29,8 @@ from .errors import (
     DomainError,
     IngestError,
 )
-from .lrv import TimeSeriesSample, ljung_box, resolve_k, series_lrv
-from .sharwb import shar_wb_test
-from .simlab import PRESET_NAMES, Scenario, preset_scenarios, run_table
-from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
+from .lrv import TimeSeriesSample, ljung_box
+from .simlab import PRESET_NAMES, TEST_COLUMNS, Scenario, evaluate, preset_scenarios, run_table
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -188,29 +188,22 @@ def _test_payload(report) -> dict:
     }
 
 
-def _resolve_k_or_fallback(sample: TimeSeriesSample, requested):
-    try:
-        return resolve_k(sample, requested), None
-    except DegenerateSampleError as exc:
-        # keep reporting: K falls back to 1 and every test will come out NA
-        return 1, str(exc)
-
-
 def build_report(y1: TimeSeriesSample, y2: TimeSeriesSample, args) -> dict:
     """Run diagnostics and all six tests; degenerate tests become NA entries."""
-    k1, k1_note = _resolve_k_or_fallback(y1, args.k1)
-    k2, k2_note = _resolve_k_or_fallback(y2, args.k2)
+    result = evaluate(
+        y1, y2, k1=args.k1, k2=args.k2, alpha=args.alpha, n_boot=args.n_boot, seed=args.seed
+    )
     groups = []
-    for sample, k, note in ((y1, k1, k1_note), (y2, k2, k2_note)):
+    for sample, fit in zip((y1, y2), result.groups):
         entry = {
             "n": sample.n,
             "mean": sample.mean,
-            "lrv": series_lrv(sample, k).omega,
-            "lrv_sqrt": series_lrv(sample, k).omega ** 0.5,
-            "k": k,
+            "lrv": fit.lrv.omega,
+            "lrv_sqrt": fit.lrv.omega ** 0.5,
+            "k": fit.k,
         }
-        if note is not None:
-            entry["k_na"] = note
+        if fit.k_note is not None:
+            entry["k_na"] = fit.k_note
         try:
             q, p = ljung_box(sample, args.lb_lag)
             entry["ljung_box_q"] = q
@@ -219,53 +212,20 @@ def build_report(y1: TimeSeriesSample, y2: TimeSeriesSample, args) -> dict:
             entry["ljung_box_na"] = str(exc)
         groups.append(entry)
 
-    tests: dict[str, dict] = {}
+    tests = {name: _test_payload(report) for name, report in result.reports.items()}
+    tests.update({name: {"na": message} for name, message in result.na.items()})
     bootstrap_payload = None
-
-    def _run(name, fn):
-        try:
-            tests[name] = _test_payload(fn())
-        except (DegenerateSampleError, DegenerateReplicatesError) as exc:
-            tests[name] = {"na": str(exc)}
-
-    _run("t0", lambda: classical_t(y1, y2, args.alpha))
-    _run("t1", lambda: welch_t(y1, y2, args.alpha))
-    _run("t0_har", lambda: har_pooled_t(y1, y2, k1, k2, args.alpha))
-    _run(
-        "t1_har_norm",
-        lambda: har_welch_t(y1, y2, k1, k2, args.alpha, reference=NORMAL),
-    )
-    _run(
-        "t1_har",
-        lambda: har_welch_t(y1, y2, k1, k2, args.alpha, reference=T_ADJUSTED),
-    )
-    try:
-        boot_report, boot_run = shar_wb_test(
-            y1, y2, alpha=args.alpha, n_boot=args.n_boot, seed=args.seed, k1=k1, k2=k2
-        )
-        tests["t1_har_boot"] = _test_payload(boot_report)
-        bootstrap_payload = {
-            "B": boot_run.B,
-            "seed": boot_run.seed,
-            "crit_lo": boot_run.crit_lo,
-            "crit_hi": boot_run.crit_hi,
-            "p_value": boot_run.p_value,
-            "K1": boot_run.K1,
-            "K2": boot_run.K2,
-            "k_star1": boot_run.k_star1,
-            "k_star2": boot_run.k_star2,
-            "n_redrawn": boot_run.n_redrawn,
-            "replicate_stats": [float(v) for v in boot_run.replicate_stats],
-        }
-    except (DegenerateSampleError, DegenerateReplicatesError) as exc:
-        tests["t1_har_boot"] = {"na": str(exc)}
+    run = result.bootstrap
+    if run is not None:
+        bootstrap_payload = {f.name: getattr(run, f.name) for f in fields(run)}
+        bootstrap_payload["replicate_stats"] = [float(v) for v in run.replicate_stats]
 
     config = {
         "alpha": args.alpha,
         "n_boot": args.n_boot,
         "seed": args.seed,
-        "k1": k1,
-        "k2": k2,
+        "k1": result.groups[0].k,
+        "k2": result.groups[1].k,
         "k_mode": "auto" if args.k1 == "auto" or args.k2 == "auto" else "explicit",
         "lb_lag": args.lb_lag,
         "inputs": {
@@ -316,7 +276,7 @@ def render_text(report: dict) -> str:
         "chi_square": "chisq",
         "bootstrap_empirical": "bootstrap",
     }
-    for name in ("t0", "t1", "t0_har", "t1_har_norm", "t1_har", "t1_har_boot"):
+    for name in TEST_COLUMNS:
         entry = report["tests"][name]
         if "na" in entry:
             lines.append(f"{name:<12}  {'NA':>10}  {'':>14}  {'NA':>8}  ({entry['na']})")
@@ -473,10 +433,7 @@ def main(argv=None) -> int:
         args.k2 = "auto"
     try:
         return args.func(args)
-    except (IngestError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except DomainError as exc:
+    except (IngestError, FileNotFoundError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (DegenerateSampleError, DegenerateReplicatesError) as exc:

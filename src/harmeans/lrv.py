@@ -33,6 +33,8 @@ class TimeSeriesSample:
     values: np.ndarray
     mean: float
     residuals: np.ndarray
+    # series_lrv estimates by k; valid because the arrays are read-only
+    _lrv_by_k: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_values(cls, values) -> "TimeSeriesSample":
@@ -84,7 +86,13 @@ class KSelection:
 
 
 def series_lrv(sample: TimeSeriesSample, k: int) -> LrvEstimate:
-    """Series LRV estimate: the average of the first k squared projections."""
+    """Series LRV estimate: the average of the first k squared projections.
+
+    Computed once per (sample, k); later calls return the same estimate.
+    """
+    cached = sample._lrv_by_k.get(k)
+    if cached is not None:
+        return cached
     if not 1 <= k <= sample.max_k:
         raise DomainError(
             f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
@@ -92,7 +100,9 @@ def series_lrv(sample: TimeSeriesSample, k: int) -> LrvEstimate:
     coeffs = basis.project_all(sample.residuals, k)
     coeffs.flags.writeable = False
     omega = float(np.mean(coeffs * coeffs))
-    return LrvEstimate(omega=omega, k=k, coefficients=coeffs)
+    estimate = LrvEstimate(omega=omega, k=k, coefficients=coeffs)
+    sample._lrv_by_k[k] = estimate
+    return estimate
 
 
 def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import phi_matrix, psi_matrices
-from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
-from .lrv import TimeSeriesSample, resolve_k, series_lrv
+from .errors import DegenerateReplicatesError, DomainError
+from .lrv import TimeSeriesSample
 from .statdist import DistKind, RefDistribution
-from .ttests import TestReport
+from .ttests import NORMAL, TestReport, har_welch_t
 
 NORMAL_INNOVATIONS = "normal"
 RADEMACHER_INNOVATIONS = "rademacher"
@@ -203,27 +203,19 @@ def shar_wb_test(
 ) -> tuple[TestReport, BootstrapRun]:
     """Wild-bootstrap two-sample mean test robust to serial dependence.
 
-    Selects K_j (data-driven unless given), computes the studentized
-    statistic, generates ``n_boot`` replicate statistics with dependent
-    multipliers (K*_j = K_j), and rejects when the statistic falls outside
-    the empirical alpha/2 and 1-alpha/2 quantiles.  The reported p-value is
-    the symmetric two-tailed one, 2*min(F*(t), 1-F*(t)).  Fully
-    reproducible from ``seed``.
+    Selects K_j (data-driven unless given), takes the studentized statistic
+    and its LRVs from ``har_welch_t``, generates ``n_boot`` replicate
+    statistics with dependent multipliers (K*_j = K_j), and rejects when the
+    statistic falls outside the empirical alpha/2 and 1-alpha/2 quantiles.
+    The reported p-value is the symmetric two-tailed one,
+    2*min(F*(t), 1-F*(t)).  Fully reproducible from ``seed``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if n_boot < 19:
         raise DomainError(f"need at least 19 bootstrap replicates, got {n_boot}")
-    k1 = resolve_k(y1, k1)
-    k2 = resolve_k(y2, k2)
+    observed = har_welch_t(y1, y2, k1, k2, alpha, reference=NORMAL)
+    stat = observed.statistic
+    k1, k2 = observed.detail["K1"], observed.detail["K2"]
     k_star1, k_star2 = k1, k2
-
-    om1 = series_lrv(y1, k1).omega
-    om2 = series_lrv(y2, k2).omega
-    denom_sq = om1 / y1.n + om2 / y2.n
-    if denom_sq <= 0.0:
-        raise DegenerateSampleError("both long-run variances are zero")
-    stat = (y1.mean - y2.mean) / math.sqrt(denom_sq)
 
     master = np.random.SeedSequence(seed)
     ss_g1, ss_g2, ss_redraw = master.spawn(3)
@@ -289,15 +281,8 @@ def shar_wb_test(
         alpha=alpha,
         reject=reject,
         detail={
-            "mean1": y1.mean,
-            "mean2": y2.mean,
+            **observed.detail,
             "mu_pooled": _pooled_mean(y1, y2),
-            "T1": y1.n,
-            "T2": y2.n,
-            "lrv1": om1,
-            "lrv2": om2,
-            "K1": k1,
-            "K2": k2,
             "k_star1": k_star1,
             "k_star2": k_star2,
             "crit_lo": crit_lo,

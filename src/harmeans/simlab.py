@@ -8,9 +8,10 @@ with a stationary start (w_0 is one unit-variance innovation draw), so the
 marginal variance of sigma * w_t is sigma^2 for every t.  Innovations are
 standard normal or standardized chi-square(1) for a skewed alternative.
 
-``run_cell`` evaluates all six tests (classical, Welch, robust pooled,
-robust Welch under normal and adjusted-t references, and the wild
-bootstrap) on ``n_mc`` fresh sample pairs and tallies rejection rates.
+``evaluate`` runs all six tests (classical, Welch, robust pooled, robust
+Welch under normal and adjusted-t references, and the wild bootstrap) on
+one sample pair; it is shared with ``harmeans test``.  ``run_cell``
+evaluates ``n_mc`` fresh sample pairs and tallies rejection rates.
 ``run_table`` sweeps a scenario grid and writes a human-readable rate table
 plus a machine-readable JSON artifact with raw counts, seeds, and excluded
 replications.
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateSampleError, DomainError
-from .lrv import TimeSeriesSample, select_k
-from .sharwb import shar_wb_test
+from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
+from .lrv import LrvEstimate, TimeSeriesSample, resolve_k, series_lrv
+from .sharwb import BootstrapRun, shar_wb_test
 from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
 
 NORMAL_ERRORS = "normal"
@@ -36,6 +37,82 @@ CHISQ1_ERRORS = "chisq1"
 
 # Report column order for the six tests.
 TEST_COLUMNS = ("t0", "t1", "t0_har", "t1_har_norm", "t1_har", "t1_har_boot")
+
+
+@dataclass(frozen=True)
+class GroupFit:
+    """One group's basis count and series LRV as the six tests use them."""
+
+    k: int
+    k_note: str | None  # why K fell back to 1, when it could not be selected
+    lrv: LrvEstimate
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The six tests on one sample pair; a degenerate test has an NA message."""
+
+    groups: tuple[GroupFit, GroupFit]
+    reports: dict  # test name -> TestReport, for the tests that ran
+    na: dict  # test name -> message, for the degenerate ones
+    bootstrap: BootstrapRun | None
+
+
+def _fit_group(sample: TimeSeriesSample, requested) -> GroupFit:
+    try:
+        k, note = resolve_k(sample, requested), None
+    except DegenerateSampleError as exc:
+        # keep evaluating: K falls back to 1 and the tests that need
+        # variation come out NA
+        k, note = 1, str(exc)
+    return GroupFit(k=k, k_note=note, lrv=series_lrv(sample, k))
+
+
+def _attempt(fn, *args, **kwargs):
+    """fn's result, or its message when a sample or the bootstrap is degenerate."""
+    try:
+        return fn(*args, **kwargs)
+    except (DegenerateSampleError, DegenerateReplicatesError) as exc:
+        return str(exc)
+
+
+def evaluate(
+    y1: TimeSeriesSample,
+    y2: TimeSeriesSample,
+    *,
+    k1,
+    k2,
+    alpha: float,
+    n_boot: int,
+    seed: int,
+) -> Evaluation:
+    """All six tests in ``TEST_COLUMNS`` order, each group's K resolved once.
+
+    ``k1``/``k2`` are integers or "auto".  Degenerate samples or bootstrap
+    replicates turn the affected tests into NA entries; a ``DomainError``
+    (bad K, alpha or n_boot) propagates.
+    """
+    groups = (_fit_group(y1, k1), _fit_group(y2, k2))
+    k1, k2 = groups[0].k, groups[1].k
+    outcomes = {
+        "t0": _attempt(classical_t, y1, y2, alpha),
+        "t1": _attempt(welch_t, y1, y2, alpha),
+        "t0_har": _attempt(har_pooled_t, y1, y2, k1, k2, alpha),
+        "t1_har_norm": _attempt(har_welch_t, y1, y2, k1, k2, alpha, reference=NORMAL),
+        "t1_har": _attempt(har_welch_t, y1, y2, k1, k2, alpha, reference=T_ADJUSTED),
+        "t1_har_boot": _attempt(
+            shar_wb_test, y1, y2, alpha=alpha, n_boot=n_boot, seed=seed, k1=k1, k2=k2
+        ),
+    }
+    bootstrap = None
+    if not isinstance(outcomes["t1_har_boot"], str):
+        outcomes["t1_har_boot"], bootstrap = outcomes["t1_har_boot"]
+    return Evaluation(
+        groups=groups,
+        reports={n: r for n, r in outcomes.items() if not isinstance(r, str)},
+        na={n: r for n, r in outcomes.items() if isinstance(r, str)},
+        bootstrap=bootstrap,
+    )
 
 
 @dataclass(frozen=True)
@@ -120,47 +197,36 @@ def simulate_series(
     return TimeSeriesSample.from_values(mu + sigma * w[1:])
 
 
-def _run_replication(scenario: Scenario, rep_seed: np.random.SeedSequence) -> dict:
+def _run_replication(scenario: Scenario, rep_seed: np.random.SeedSequence):
+    """Reject flags of the six tests, or None when any test is NA."""
     ss_y1, ss_y2, ss_boot = rep_seed.spawn(3)
-    y1 = simulate_series(
-        scenario.t1,
-        scenario.rho,
-        scenario.sigma1,
-        scenario.mu1,
-        scenario.error_law,
-        np.random.default_rng(ss_y1),
+    y1, y2 = (
+        simulate_series(n, scenario.rho, sigma, mu, scenario.error_law, np.random.default_rng(ss))
+        for n, sigma, mu, ss in (
+            (scenario.t1, scenario.sigma1, scenario.mu1, ss_y1),
+            (scenario.t2, scenario.sigma2, scenario.mu2, ss_y2),
+        )
     )
-    y2 = simulate_series(
-        scenario.t2,
-        scenario.rho,
-        scenario.sigma2,
-        scenario.mu2,
-        scenario.error_law,
-        np.random.default_rng(ss_y2),
+    result = evaluate(
+        y1,
+        y2,
+        k1="auto",
+        k2="auto",
+        alpha=scenario.alpha,
+        n_boot=scenario.n_boot,
+        seed=int(ss_boot.generate_state(1, np.uint64)[0]),
     )
-    k1 = select_k(y1).k_hat
-    k2 = select_k(y2).k_hat
-    alpha = scenario.alpha
-    boot_seed = int(ss_boot.generate_state(1, np.uint64)[0])
-    boot_report, _ = shar_wb_test(
-        y1, y2, alpha=alpha, n_boot=scenario.n_boot, seed=boot_seed, k1=k1, k2=k2
-    )
-    return {
-        "t0": classical_t(y1, y2, alpha).reject,
-        "t1": welch_t(y1, y2, alpha).reject,
-        "t0_har": har_pooled_t(y1, y2, k1, k2, alpha).reject,
-        "t1_har_norm": har_welch_t(y1, y2, k1, k2, alpha, reference=NORMAL).reject,
-        "t1_har": har_welch_t(y1, y2, k1, k2, alpha, reference=T_ADJUSTED).reject,
-        "t1_har_boot": boot_report.reject,
-    }
+    if result.na:
+        return None
+    return {name: result.reports[name].reject for name in TEST_COLUMNS}
 
 
 def run_cell(scenario: Scenario) -> CellResult:
     """Monte Carlo rejection rates of all six tests for one scenario.
 
-    Replications that raise a degenerate-sample error are excluded from the
-    rate denominators but counted in ``n_excluded``; with continuous error
-    laws this never fires.
+    Replications where any test is NA (a degenerate sample or bootstrap)
+    are excluded from the rate denominators but counted in ``n_excluded``;
+    with continuous error laws this never fires.
     """
     start = time.perf_counter()
     counts = {name: 0 for name in TEST_COLUMNS}
@@ -168,9 +234,8 @@ def run_cell(scenario: Scenario) -> CellResult:
     excluded = 0
     rep_seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.n_mc)
     for rep_seed in rep_seeds:
-        try:
-            rejects = _run_replication(scenario, rep_seed)
-        except DegenerateSampleError:
+        rejects = _run_replication(scenario, rep_seed)
+        if rejects is None:
             excluded += 1
             continue
         completed += 1

@@ -59,6 +59,11 @@ def _report(name, statistic, ref, alpha, detail) -> TestReport:
     )
 
 
+def _detail(y1: TimeSeriesSample, y2: TimeSeriesSample, **extra) -> dict:
+    """Report detail: the group means and sizes every test shares, plus extras."""
+    return {"mean1": y1.mean, "mean2": y2.mean, "T1": y1.n, "T2": y2.n, **extra}
+
+
 def classical_t(
     y1: TimeSeriesSample, y2: TimeSeriesSample, alpha: float = 0.05
 ) -> TestReport:
@@ -71,15 +76,7 @@ def classical_t(
         raise DegenerateSampleError("pooled variance is zero")
     stat = (y1.mean - y2.mean) / (math.sqrt(pooled) * math.sqrt(1.0 / t1 + 1.0 / t2))
     ref = RefDistribution(DistKind.STUDENT_T, df=float(t1 + t2 - 2))
-    detail = {
-        "mean1": y1.mean,
-        "mean2": y2.mean,
-        "T1": t1,
-        "T2": t2,
-        "var1": s1_sq,
-        "var2": s2_sq,
-        "df": float(t1 + t2 - 2),
-    }
+    detail = _detail(y1, y2, var1=s1_sq, var2=s2_sq, df=float(t1 + t2 - 2))
     return _report("t0", stat, ref, alpha, detail)
 
 
@@ -96,16 +93,17 @@ def welch_t(
     stat = (y1.mean - y2.mean) / math.sqrt(v1 + v2)
     df = (v1 + v2) ** 2 / (v1 * v1 / (t1 - 1) + v2 * v2 / (t2 - 1))
     ref = RefDistribution(DistKind.STUDENT_T, df=df)
-    detail = {
-        "mean1": y1.mean,
-        "mean2": y2.mean,
-        "T1": t1,
-        "T2": t2,
-        "var1": y1.variance(),
-        "var2": y2.variance(),
-        "df": df,
-    }
+    detail = _detail(y1, y2, var1=y1.variance(), var2=y2.variance(), df=df)
     return _report("t1", stat, ref, alpha, detail)
+
+
+def _har_inputs(y1: TimeSeriesSample, y2: TimeSeriesSample, k1, k2):
+    """Resolved basis counts, per-group series LRVs and the shared detail keys."""
+    k1 = resolve_k(y1, k1)
+    k2 = resolve_k(y2, k2)
+    om1 = series_lrv(y1, k1).omega
+    om2 = series_lrv(y2, k2).omega
+    return k1, k2, om1, om2, _detail(y1, y2, lrv1=om1, lrv2=om2, K1=k1, K2=k2)
 
 
 def har_pooled_t(
@@ -117,27 +115,14 @@ def har_pooled_t(
 ) -> TestReport:
     """Robust pooled t-test: pooled series LRV, referenced to t(K1+K2)."""
     _validate_alpha(alpha)
-    k1 = resolve_k(y1, k1)
-    k2 = resolve_k(y2, k2)
-    om1 = series_lrv(y1, k1).omega
-    om2 = series_lrv(y2, k2).omega
+    k1, k2, om1, om2, detail = _har_inputs(y1, y2, k1, k2)
     pooled = (k1 * om1 + k2 * om2) / (k1 + k2)
     if pooled <= 0.0:
         raise DegenerateSampleError("pooled long-run variance is zero")
     t1, t2 = y1.n, y2.n
     stat = (y1.mean - y2.mean) / (math.sqrt(pooled) * math.sqrt(1.0 / t1 + 1.0 / t2))
     ref = RefDistribution(DistKind.STUDENT_T, df=float(k1 + k2))
-    detail = {
-        "mean1": y1.mean,
-        "mean2": y2.mean,
-        "T1": t1,
-        "T2": t2,
-        "lrv1": om1,
-        "lrv2": om2,
-        "K1": k1,
-        "K2": k2,
-        "df": float(k1 + k2),
-    }
+    detail["df"] = float(k1 + k2)
     return _report("t0_har", stat, ref, alpha, detail)
 
 
@@ -181,36 +166,26 @@ def har_welch_t(
 
     ``reference="normal"`` uses the standard normal limit; the default
     ``reference="t-adjusted"`` uses Student's t with the adjusted
-    (fractional) df, which is more accurate when the LRVs differ.
+    (fractional) df, which is more accurate when the LRVs differ.  That df
+    needs both LRVs positive; a zero one raises ``DegenerateSampleError``.
     """
     _validate_alpha(alpha)
     if reference not in (NORMAL, T_ADJUSTED):
         raise DomainError(
             f"reference must be '{NORMAL}' or '{T_ADJUSTED}', got {reference!r}"
         )
-    k1 = resolve_k(y1, k1)
-    k2 = resolve_k(y2, k2)
-    om1 = series_lrv(y1, k1).omega
-    om2 = series_lrv(y2, k2).omega
+    k1, k2, om1, om2, detail = _har_inputs(y1, y2, k1, k2)
     t1, t2 = y1.n, y2.n
     denom_sq = om1 / t1 + om2 / t2
     if denom_sq <= 0.0:
         raise DegenerateSampleError("both long-run variances are zero")
     stat = (y1.mean - y2.mean) / math.sqrt(denom_sq)
-    detail = {
-        "mean1": y1.mean,
-        "mean2": y2.mean,
-        "T1": t1,
-        "T2": t2,
-        "lrv1": om1,
-        "lrv2": om2,
-        "K1": k1,
-        "K2": k2,
-    }
     if reference == NORMAL:
         ref = RefDistribution(DistKind.STANDARD_NORMAL)
         name = "t1_har_norm"
     else:
+        if om1 <= 0.0 or om2 <= 0.0:
+            raise DegenerateSampleError("a long-run variance is zero; adjusted df undefined")
         df = k_adf(om1, om2, t1, t2, k1, k2)
         ref = RefDistribution(DistKind.STUDENT_T, df=df)
         detail["k_adf"] = df

@@ -1,6 +1,8 @@
 """Command-line interface: ingestion, reports, exit codes, simulate artifacts."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,26 @@ from harmeans.errors import IngestError
 from harmeans.lrv import TimeSeriesSample, select_k, series_lrv
 from harmeans.simlab import simulate_series
 from harmeans.ttests import har_welch_t
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_matches_golden(got, want, where="report"):
+    """Same keys, ints, bools and strings; floats equal to 1e-10 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-10, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
 def write(path, text):
@@ -178,6 +200,40 @@ class TestTestCommand:
         out = capsys.readouterr().out
         assert code == EXIT_DEGENERATE
         assert "NA" in out
+
+    def test_one_constant_group_reports_only_t1_har_na(self, tmp_path, capsys):
+        # a zero LRV leaves the adjusted df undefined; every other test runs
+        f1 = write(tmp_path / "c1.csv", "\n".join(["2.0"] * 10) + "\n")
+        rng = np.random.default_rng(5)
+        f2 = write(tmp_path / "v2.csv", "\n".join(f"{v:.6f}" for v in rng.normal(size=10)))
+        out_path = tmp_path / "report.json"
+        code = main(["test", "--y1", f1, "--y2", f2, "--B", "49", "--format", "json",
+                     "--out", str(out_path)])
+        assert code == EXIT_DEGENERATE
+        report = json.loads(out_path.read_text())
+        assert [name for name, e in report["tests"].items() if "na" in e] == ["t1_har"]
+        assert "adjusted df" in report["tests"]["t1_har"]["na"]
+        assert report["groups"][0]["k_na"] == "residuals carry no variation"
+        assert report["bootstrap"]["B"] == 49
+        code = main(["test", "--y1", f1, "--y2", f2, "--B", "49"])
+        out = capsys.readouterr().out
+        assert code == EXIT_DEGENERATE
+        assert "t1_har_boot" in out and "bootstrap: B=49" in out
+
+    def test_matches_golden_report(self, tmp_path):
+        # tests/golden holds the 37/85 fixture as CSV and its JSON report at
+        # B=49, seed 3, recorded before the six tests were shared with the
+        # lab; it pins the report across refactors, not just across reruns.
+        out_path = tmp_path / "report.json"
+        code = main(["test", "--y1", str(GOLDEN / "g1.csv"), "--y2", str(GOLDEN / "g2.csv"),
+                     "--B", "49", "--seed", "3", "--format", "json", "--out", str(out_path)])
+        assert code == EXIT_OK
+        report = json.loads(out_path.read_text())
+        inputs = report["config"]["inputs"]
+        inputs["y1"], inputs["y2"] = Path(inputs["y1"]).name, Path(inputs["y2"]).name
+        golden = json.loads((GOLDEN / "report_B49_seed3.json").read_text())
+        del report["version"], golden["version"]  # a release bump is not a change
+        assert_matches_golden(report, golden)
 
     def test_missing_file_exit_input(self, tmp_path, capsys):
         code = main(["test", "--y1", str(tmp_path / "nope.csv"),

@@ -2,22 +2,113 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import harmeans.simlab as simlab_mod
+from harmeans import basis
 from harmeans.errors import DomainError
+from harmeans.lrv import TimeSeriesSample, resolve_k, series_lrv
+from harmeans.sharwb import shar_wb_test
 from harmeans.simlab import (
     TEST_COLUMNS,
     CellResult,
     Scenario,
+    evaluate,
     preset_scenarios,
     run_cell,
     run_table,
     simulate_series,
 )
+from harmeans.ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
 
 FAST = {"n_mc": 40, "n_boot": 29}
+
+
+def wfh_pair() -> tuple[TimeSeriesSample, TimeSeriesSample]:
+    """Fresh samples of the 37/85 unequal-spread fixture (as in test_cli)."""
+    rng = np.random.default_rng(99)
+    y1 = simulate_series(37, 0.0, 0.06, -5.14, "normal", rng)
+    y2 = simulate_series(85, 0.0, 0.18, -5.17, "normal", rng)
+    return y1, y2
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(("k1", "k2"), [("auto", "auto"), (3, 5)])
+    def test_entries_equal_public_functions(self, k1, k2):
+        y1, y2 = wfh_pair()
+        result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
+        # separate samples, so no LRV is shared with evaluate through the memo
+        f1, f2 = wfh_pair()
+        boot_report, boot_run = shar_wb_test(
+            f1, f2, alpha=0.05, n_boot=49, seed=3, k1=k1, k2=k2
+        )
+        expected = {
+            "t0": classical_t(f1, f2, 0.05),
+            "t1": welch_t(f1, f2, 0.05),
+            "t0_har": har_pooled_t(f1, f2, k1, k2, 0.05),
+            "t1_har_norm": har_welch_t(f1, f2, k1, k2, 0.05, reference=NORMAL),
+            "t1_har": har_welch_t(f1, f2, k1, k2, 0.05, reference=T_ADJUSTED),
+            "t1_har_boot": boot_report,
+        }
+        assert result.na == {}
+        assert list(result.reports) == list(TEST_COLUMNS)
+        for name in TEST_COLUMNS:
+            assert result.reports[name] == expected[name], name
+        for f in fields(boot_run):
+            got, want = getattr(result.bootstrap, f.name), getattr(boot_run, f.name)
+            if f.name == "replicate_stats":
+                assert np.array_equal(got, want)
+            else:
+                assert got == want, f.name
+        for fit, sample, k in zip(result.groups, (f1, f2), (k1, k2)):
+            assert fit.k == resolve_k(sample, k)
+            assert fit.k_note is None
+            lrv = series_lrv(sample, fit.k)
+            assert fit.lrv.omega == lrv.omega
+            assert np.array_equal(fit.lrv.coefficients, lrv.coefficients)
+
+    def test_all_constant_pair_gives_cli_na_messages(self):
+        y1 = TimeSeriesSample.from_values([2.0] * 10)
+        y2 = TimeSeriesSample.from_values([2.0] * 10)
+        result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=0)
+        assert result.reports == {}
+        assert result.bootstrap is None
+        assert result.na == {
+            "t0": "pooled variance is zero",
+            "t1": "both sample variances are zero",
+            "t0_har": "pooled long-run variance is zero",
+            "t1_har_norm": "both long-run variances are zero",
+            "t1_har": "both long-run variances are zero",
+            "t1_har_boot": "both long-run variances are zero",
+        }
+        for fit in result.groups:
+            assert (fit.k, fit.k_note, fit.lrv.omega) == (1, "residuals carry no variation", 0.0)
+
+    def test_bad_explicit_k_propagates(self):
+        y1, y2 = wfh_pair()
+        with pytest.raises(DomainError):
+            evaluate(y1, y2, k1=30, k2=5, alpha=0.05, n_boot=49, seed=0)
+
+    def test_lrv_projected_once_per_group(self, monkeypatch):
+        calls = []
+        original = basis.project_all
+
+        def counting(residuals, k):
+            calls.append(k)
+            return original(residuals, k)
+
+        monkeypatch.setattr(basis, "project_all", counting)
+        y1, y2 = wfh_pair()
+        result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=3)
+        assert calls == [result.groups[0].k, result.groups[1].k]
+        k = result.groups[0].k
+        assert series_lrv(y1, k) is series_lrv(y1, k)
+        assert series_lrv(y1, k) is result.groups[0].lrv
+
+
 
 
 class TestSimulateSeries:
@@ -101,6 +192,24 @@ class TestRunCell:
         res = run_cell(Scenario(t1=30, t2=30, rho=0.5, seed=5, **FAST))
         assert res.n_excluded == 0
         assert res.n_completed == FAST["n_mc"]
+
+    def test_replication_with_any_na_is_excluded(self, monkeypatch):
+        # a constant first group leaves only t1_har NA (zero LRV, no adjusted
+        # df); that alone excludes the replication
+        original = simlab_mod.simulate_series
+        seen = []
+
+        def first_group_constant_once(n, rho, sigma, mu, law, rng):
+            seen.append(n)
+            if len(seen) == 1:
+                return TimeSeriesSample.from_values([mu] * n)
+            return original(n, rho, sigma, mu, law, rng)
+
+        monkeypatch.setattr(simlab_mod, "simulate_series", first_group_constant_once)
+        res = run_cell(Scenario(t1=30, t2=31, rho=0.0, seed=5, **FAST))
+        assert seen[0] == 30
+        assert res.n_excluded == 1
+        assert res.n_completed == FAST["n_mc"] - 1
 
     def test_power_exceeds_size_at_large_shift(self):
         null = run_cell(Scenario(t1=60, t2=60, rho=0.0, a=1.0, seed=21, **FAST))

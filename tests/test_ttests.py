@@ -219,6 +219,16 @@ class TestHarWelchT:
         with pytest.raises(DomainError):
             har_welch_t(y1, y2, 3, 3, reference="bogus")
 
+    def test_one_zero_lrv_is_degenerate_only_for_adjusted_df(self, pair):
+        # the adjusted df needs both LRVs positive; the normal reference does not
+        constant = sample([2.0] * 20)
+        y = pair[0]
+        rn = har_welch_t(constant, y, 1, 3, reference=NORMAL)
+        assert rn.detail["lrv1"] == 0.0 and rn.detail["lrv2"] > 0.0
+        for y1, y2, k1, k2 in ((constant, y, 1, 3), (y, constant, 3, 1)):
+            with pytest.raises(DegenerateSampleError, match="adjusted df"):
+                har_welch_t(y1, y2, k1, k2, reference=T_ADJUSTED)
+
 
 class TestSharedInvariants:
     def test_swap_antisymmetry(self, pair):
