@@ -1,118 +1,88 @@
-"""Trigonometric basis functions and residual projection coefficients.
+"""The evaluation grid t/T and its one discrete Fourier transform.
 
-Two families live here.  The test basis ``phi`` is the orthonormal,
-mean-zero family used to build the long-run variance estimator: slot
-``l = 2m-1`` is sqrt(2)*cos(2*pi*m*x) and slot ``l = 2m`` is
-sqrt(2)*sin(2*pi*m*x), so consecutive slots share a frequency and the
-family is orthonormal on the evaluation grid t/T.  The bootstrap basis
-``psi`` is the plain cosine/sine pair (norm 1/2 instead of 1) used to
-construct serially dependent bootstrap multipliers.
+Every trigonometric quantity of the package is read off
+
+    U(f) = sum_{t=1}^{T} u_t exp(-2 pi i f t / T),   f read mod T,
+
+which is ``np.fft.fft(np.roll(u, 1))``.  The LRV basis phi_l is
+sqrt(2) cos(2 pi m t/T) in slot l = 2m-1 and sqrt(2) sin(2 pi m t/T) in
+slot 2m, orthonormal and mean-zero on the grid, so its coefficients are
+sqrt(2/T) Re U(m) and -sqrt(2/T) Im U(m).  The bootstrap basis is the plain
+pair cos(2 pi l t/T), sin(2 pi l t/T), whose sums against u are Re U(l) and
+-Im U(l).  The LRV coefficients of u times a bootstrap basis function are
+half sums and differences of U at m - l and m + l, and the bootstrap
+multipliers are one inverse real transform.  Every function works along
+axis 0, so a (T, n) array is n series at once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-
-from .errors import DomainError
-
-_SQRT2 = math.sqrt(2.0)
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-def _check_unit_interval(x: float) -> None:
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"basis functions are evaluated on (0, 1], got x={x}")
+def dft(u: np.ndarray) -> np.ndarray:
+    """U(f) for f = 0..T-1 along axis 0, with t = T stored at index 0."""
+    return np.fft.fft(np.concatenate((u[-1:], u[:-1])), axis=0)
 
 
-def phi(ell: int, x: float) -> float:
-    """Value of the ell-th test basis function at x in (0, 1].
-
-    Odd slots are sqrt(2)*cos(2*pi*m*x), even slots sqrt(2)*sin(2*pi*m*x),
-    with frequency m = ceil(ell / 2).
-    """
-    if ell < 1:
-        raise DomainError(f"basis index must be >= 1, got {ell}")
-    _check_unit_interval(x)
-    m = (ell + 1) // 2
-    angle = 2.0 * math.pi * m * x
-    return _SQRT2 * math.cos(angle) if ell % 2 == 1 else _SQRT2 * math.sin(angle)
-
-
-def psi(r: int, ell: int, x: float) -> float:
-    """Bootstrap basis: cos(2*pi*ell*x) for r=1, sin(2*pi*ell*x) for r=2."""
-    if r not in (1, 2):
-        raise DomainError(f"psi family index must be 1 or 2, got {r}")
-    if ell < 1:
-        raise DomainError(f"basis index must be >= 1, got {ell}")
-    _check_unit_interval(x)
-    angle = 2.0 * math.pi * ell * x
-    return math.cos(angle) if r == 1 else math.sin(angle)
-
-
-@lru_cache(maxsize=128)
-def phi_matrix(n: int, k: int) -> np.ndarray:
-    """Precomputed (n, k) table of phi_l(t/n) for t = 1..n, l = 1..k.
-
-    The table is immutable and cached, so concurrent readers can share it.
-    """
-    if n < 2:
-        raise DomainError(f"grid length must be >= 2, got {n}")
-    if k < 1:
-        raise DomainError(f"need at least one basis function, got k={k}")
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    out = np.empty((n, k), dtype=np.float64)
-    for ell in range(1, k + 1):
-        m = (ell + 1) // 2
-        angle = 2.0 * np.pi * m * grid
-        out[:, ell - 1] = np.cos(angle) if ell % 2 == 1 else np.sin(angle)
-    out *= _SQRT2
-    out.flags.writeable = False
+def coefficients(u: np.ndarray, k: int) -> np.ndarray:
+    """The k LRV projection coefficients T^{-1/2} sum_t phi_l(t/T) u_t."""
+    n = u.shape[0]
+    spec = dft(u)[1 : (k + 1) // 2 + 1]
+    out = np.empty((k,) + spec.shape[1:])
+    out[0::2] = spec.real
+    out[1::2] = -spec.imag[: k // 2]
+    out *= math.sqrt(2.0 / n)
     return out
 
 
-@lru_cache(maxsize=128)
-def psi_matrices(n: int, k_star: int) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputed (n, k_star) tables of the cosine and sine bootstrap bases."""
-    if n < 2:
-        raise DomainError(f"grid length must be >= 2, got {n}")
-    if k_star < 1:
-        raise DomainError(f"need at least one basis function, got k={k_star}")
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    angles = 2.0 * np.pi * np.outer(grid, np.arange(1, k_star + 1))
-    cos_tab = np.cos(angles)
-    sin_tab = np.sin(angles)
-    cos_tab.flags.writeable = False
-    sin_tab.flags.writeable = False
-    return cos_tab, sin_tab
+def cos_sin_sums(u: np.ndarray, k_star: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_t u_t cos(2 pi l t/T) and sum_t u_t sin(2 pi l t/T), l = 1..k_star."""
+    spec = dft(u)[1 : k_star + 1]
+    return spec.real, -spec.imag
 
 
-def project(residuals: np.ndarray, ell: int) -> float:
-    """Projection coefficient n^{-1/2} * sum_t phi_ell(t/n) * u_t.
+def modulated_coefficients(u: np.ndarray, k: int, k_star: int) -> np.ndarray:
+    """(k, 2 k_star) matrix of the LRV coefficients of u times each bootstrap
+    basis function: column j is u * cos(2 pi j t/T), column k_star + j is
+    u * sin(2 pi j t/T).
 
-    Linear in the residual vector; computed on demand without the cached
-    table so it stays cheap for one-off queries.
+    For LRV frequency m and bootstrap frequency j, with c = 1/sqrt(2T):
+    cos-cos is c Re[U(m-j) + U(m+j)], cos-sin is c Im[U(m-j) - U(m+j)],
+    sin-cos is -c Im[U(m+j) + U(m-j)] and sin-sin is c Re[U(m-j) - U(m+j)].
+    The rows read U(m+j) and U(m-j) as windows of U on f = 1-k_star ..
+    m_top+k_star, so the only array of size k * k_star is the result.
     """
-    u = np.asarray(residuals, dtype=np.float64)
-    if u.ndim != 1 or u.size < 2:
-        raise DomainError("residuals must be a vector of length >= 2")
-    if not np.all(np.isfinite(u)):
-        raise DomainError("residuals must be finite")
-    if ell < 1:
-        raise DomainError(f"basis index must be >= 1, got {ell}")
-    n = u.size
-    m = (ell + 1) // 2
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    angle = 2.0 * np.pi * m * grid
-    vals = np.cos(angle) if ell % 2 == 1 else np.sin(angle)
-    return float(_SQRT2 * vals.dot(u) / math.sqrt(n))
+    n = u.shape[0]
+    m_top = (k + 1) // 2
+    spec = dft(u)[np.arange(1 - k_star, m_top + k_star + 1) % n]
+    spec *= 1.0 / math.sqrt(2.0 * n)
+    out = np.empty((k, 2 * k_star))
+    cos_rows, sin_rows = out[0::2], out[1::2]
+    win = sliding_window_view(np.stack([spec.real, spec.imag, -spec.imag]), k_star, axis=1)
+    re_p, im_p, nim_p = win[:, k_star + 1 : k_star + 1 + m_top]
+    re_m, im_m, nim_m = win[:, :m_top, ::-1]
+    h = k // 2
+    np.add(re_m, re_p, out=cos_rows[:, :k_star])
+    np.subtract(im_m, im_p, out=cos_rows[:, k_star:])
+    np.add(nim_p[:h], nim_m[:h], out=sin_rows[:, :k_star])
+    np.subtract(re_m[:h], re_p[:h], out=sin_rows[:, k_star:])
+    return out
 
 
-def project_all(residuals: np.ndarray, k: int) -> np.ndarray:
-    """All projection coefficients l = 1..k at once, via the cached table."""
-    u = np.asarray(residuals, dtype=np.float64)
-    if u.ndim != 1 or u.size < 2:
-        raise DomainError("residuals must be a vector of length >= 2")
-    tab = phi_matrix(u.size, k)
-    return tab.T.dot(u) / math.sqrt(u.size)
+def cos_sin_series(n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_l [c_l cos(2 pi l t/n) + s_l sin(2 pi l t/n)] for t = 1..n.
+
+    One inverse real transform of the spectrum (n/2)(c - i s) on bins
+    1..len(c).  When 2 len(c) = n the Nyquist bin is n c_last, because the
+    inverse transform does not double that bin (sin(pi t) vanishes there).
+    """
+    k_star = c.shape[0]
+    spec = np.zeros((n // 2 + 1,) + c.shape[1:], dtype=np.complex128)
+    spec[1 : k_star + 1] = 0.5 * n * (c - 1j * s)
+    if 2 * k_star == n:
+        spec[k_star] = n * c[-1]
+    return np.roll(np.fft.irfft(spec, n, axis=0), -1, axis=0)

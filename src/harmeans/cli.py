@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -104,7 +105,10 @@ def _parse_cell(row: list[str], idx: int, row_no: int, path: str) -> float:
     cell = row[idx]
     if not _is_number(cell):
         raise IngestError(f"{path}: row {row_no}: non-numeric value {cell!r}")
-    return float(cell)
+    value = float(cell)
+    if not math.isfinite(value):
+        raise IngestError(f"{path}: row {row_no}: non-finite value {cell!r}")
+    return value
 
 
 def read_series(path: str, column=None) -> np.ndarray:

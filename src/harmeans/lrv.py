@@ -97,7 +97,7 @@ def series_lrv(sample: TimeSeriesSample, k: int) -> LrvEstimate:
         raise DomainError(
             f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
         )
-    coeffs = basis.project_all(sample.residuals, k)
+    coeffs = basis.coefficients(sample.residuals, k)
     coeffs.flags.writeable = False
     omega = float(np.mean(coeffs * coeffs))
     estimate = LrvEstimate(omega=omega, k=k, coefficients=coeffs)

@@ -14,8 +14,14 @@ so bootstrap samples inherit the dependence of the data.
 Both groups' bootstrap samples are generated around the pooled mean
 (T1 Ybar1 + T2 Ybar2)/(T1 + T2), which imposes the null of equal means, and
 each bootstrap replicate is studentized with the same per-group basis
-counts K1, K2 as the original statistic.  Critical values are empirical
-quantiles of the replicate statistics.
+counts K1, K2 as the original statistic.  The common location cancels from
+that statistic, and so does demeaning, since every LRV basis function sums
+to zero on the grid.  So per group a replicate needs only mean(u*eta) = w.v
+and the K LRV coefficients A v of u*eta, with the 2K* innovations v stacked
+as the cosine block, then the sine block.  w and the K x 2K* matrix A are
+read off one transform of the residuals (see ``basis``) once per test;
+no T-long multiplier is formed.  Critical values are empirical quantiles of
+the replicate statistics.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import phi_matrix, psi_matrices
+from . import basis
 from .errors import DegenerateReplicatesError, DomainError
 from .lrv import TimeSeriesSample
 from .statdist import DistKind, RefDistribution
@@ -78,21 +84,14 @@ def _draw_innovations(rng: np.random.Generator, shape, law: str) -> np.ndarray:
     raise DomainError(f"unknown innovation law {law!r}")
 
 
-def _eta_from_innovations(n: int, k_star: int, v: np.ndarray) -> np.ndarray:
-    """Multipliers from given innovations v of shape (2, k_star[, B])."""
-    cos_tab, sin_tab = psi_matrices(n, k_star)
-    out = cos_tab.dot(v[0]) + sin_tab.dot(v[1])
-    out /= math.sqrt(k_star)
-    return out
-
-
 def gen_eta(
     n: int, k_star: int, rng: np.random.Generator, law: str = NORMAL_INNOVATIONS
 ) -> EtaDraw:
     """Draw one dependent multiplier vector of length n."""
     _check_k_star(n, k_star)
     v = _draw_innovations(rng, (2, k_star), law)
-    return EtaDraw(values=_eta_from_innovations(n, k_star, v), k_star=k_star, law=law)
+    values = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)
+    return EtaDraw(values=values, k_star=k_star, law=law)
 
 
 def eta_autocov(n: int, k_star: int, lag: int) -> float:
@@ -106,53 +105,46 @@ def bootstrap_lrv_closed_form(residuals, k_star: int) -> float:
     """Exact conditional variance of n^{-1/2} sum_t u_t eta_t given the data.
 
     Equals K*^{-1} sum_l (c_l^2 + s_l^2), where c_l and s_l are the scaled
-    cosine and sine projections of the residuals; nonnegative by
-    construction.  The O(T^2) double sum over the multiplier covariances
-    collapses to this O(T K*) form.
+    cosine and sine sums of the residuals, Re U(l)/sqrt(n) and
+    -Im U(l)/sqrt(n); nonnegative by construction.  The O(T^2) double sum
+    over the multiplier covariances collapses to these K* frequencies of
+    one transform.
     """
     u = np.asarray(residuals, dtype=np.float64)
     if u.ndim != 1 or u.size < 2:
         raise DomainError("residuals must be a vector of length >= 2")
     _check_k_star(u.size, k_star)
-    cos_tab, sin_tab = psi_matrices(u.size, k_star)
-    c = cos_tab.T.dot(u) / math.sqrt(u.size)
-    s = sin_tab.T.dot(u) / math.sqrt(u.size)
-    return float(np.sum(c * c + s * s) / k_star)
+    cos_sums, sin_sums = basis.cos_sin_sums(u, k_star)
+    return float(np.sum(cos_sums * cos_sums + sin_sums * sin_sums) / u.size / k_star)
 
 
 def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
     return (y1.n * y1.mean + y2.n * y2.mean) / (y1.n + y2.n)
 
 
-def _replicate_stats_from_eta(
-    y1: TimeSeriesSample,
-    y2: TimeSeriesSample,
-    k1: int,
-    k2: int,
-    eta1: np.ndarray,
-    eta2: np.ndarray,
-) -> np.ndarray:
-    """Studentized replicate statistics for multiplier draws.
+def _operator(sample: TimeSeriesSample, k: int, k_star: int):
+    """The group's (w, A), with A scaled by T^{-1/2} so that the replicate's
+    LRV over T is the mean of (A v)^2."""
+    u = sample.residuals / math.sqrt(k_star)
+    cos_sums, sin_sums = basis.cos_sin_sums(u, k_star)
+    w = np.concatenate([cos_sums, sin_sums]) / sample.n
+    return w, basis.modulated_coefficients(u / math.sqrt(sample.n), k, k_star)
 
-    eta_j may be (T_j,) for a single replicate or (T_j, B) for a batch.
-    Degenerate replicates (zero bootstrap LRV in both groups) come back as
-    NaN for the caller to handle.
 
-    The common location both resamples are built around cancels identically
-    from the studentized statistic (Ybar*_1 - Ybar*_2 = ubar*_1 - ubar*_2
-    and the residuals u* - ubar* are location-free), so the computation
-    runs on the multiplier-residual scale.
+def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Studentized replicate statistics for innovation draws.
+
+    v_j has shape (2, K*_j) for a single replicate or (2, K*_j, B) for a
+    batch.  Degenerate replicates (zero bootstrap LRV in both groups) come
+    back as NaN for the caller to handle.
     """
     means = []
     omegas = []
-    for sample, k, eta in ((y1, k1, eta1), (y2, k2, eta2)):
-        ustar = sample.residuals.reshape(-1, *([1] * (eta.ndim - 1))) * eta
-        mean_star = ustar.mean(axis=0)
-        resid_star = ustar - mean_star
-        z = phi_matrix(sample.n, k).T.dot(resid_star) / math.sqrt(sample.n)
-        omega_star = np.mean(z * z, axis=0)
-        means.append(mean_star)
-        omegas.append(omega_star / sample.n)
+    for (w, a), v in ((op1, v1), (op2, v2)):
+        v = v.reshape(w.size, *v.shape[2:])
+        z = a.dot(v)
+        means.append(w.dot(v))
+        omegas.append(np.mean(z * z, axis=0))
     denom_sq = omegas[0] + omegas[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         stats = np.where(
@@ -179,9 +171,11 @@ def bootstrap_replicate(
     """
     _check_k_star(y1.n, k_star1)
     _check_k_star(y2.n, k_star2)
-    eta1 = _eta_from_innovations(y1.n, k_star1, _draw_innovations(rng1, (2, k_star1), law))
-    eta2 = _eta_from_innovations(y2.n, k_star2, _draw_innovations(rng2, (2, k_star2), law))
-    return float(_replicate_stats_from_eta(y1, y2, k1, k2, eta1, eta2))
+    v1 = _draw_innovations(rng1, (2, k_star1), law)
+    v2 = _draw_innovations(rng2, (2, k_star2), law)
+    return float(
+        _replicate_stats(_operator(y1, k1, k_star1), _operator(y2, k2, k_star2), v1, v2)
+    )
 
 
 def _empirical_quantile(sorted_stats: np.ndarray, p: float) -> float:
@@ -222,13 +216,14 @@ def shar_wb_test(
     rng1 = np.random.default_rng(ss_g1)
     rng2 = np.random.default_rng(ss_g2)
 
-    eta1 = _eta_from_innovations(
-        y1.n, k_star1, _draw_innovations(rng1, (2, k_star1, n_boot), law)
+    op1 = _operator(y1, k1, k_star1)
+    op2 = _operator(y2, k2, k_star2)
+    stats = _replicate_stats(
+        op1,
+        op2,
+        _draw_innovations(rng1, (2, k_star1, n_boot), law),
+        _draw_innovations(rng2, (2, k_star2, n_boot), law),
     )
-    eta2 = _eta_from_innovations(
-        y2.n, k_star2, _draw_innovations(rng2, (2, k_star2, n_boot), law)
-    )
-    stats = _replicate_stats_from_eta(y1, y2, k1, k2, eta1, eta2)
 
     n_redrawn = 0
     degenerate = np.flatnonzero(np.isnan(stats))
@@ -244,9 +239,9 @@ def shar_wb_test(
                         "bootstrap replicates; residuals too sparse for "
                         f"law={law!r}"
                     )
-                value = bootstrap_replicate(
-                    y1, y2, k1, k2, k_star1, k_star2, rng_r1, rng_r2, law
-                )
+                v1 = _draw_innovations(rng_r1, (2, k_star1), law)
+                v2 = _draw_innovations(rng_r2, (2, k_star2), law)
+                value = float(_replicate_stats(op1, op2, v1, v2))
                 n_redrawn += 1
                 if not math.isnan(value):
                     stats[idx] = value

@@ -92,19 +92,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - log_gamma(a))
 
 
-def reg_gamma_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if a <= 0.0:
-        raise DomainError(f"shape must be positive, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
 def reg_gamma_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0.0:

@@ -166,3 +166,80 @@ def reg_gamma_upper(a: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-17:
             break
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+# Dense time-domain references for the trigonometric bases and the bootstrap
+# replicate kernel: every basis value is evaluated on the grid t/T directly,
+# with no Fourier transform.
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def phi(ell: int, x: float) -> float:
+    """ell-th LRV basis function: sqrt(2) cos(2 pi m x) for odd ell,
+    sqrt(2) sin(2 pi m x) for even ell, with m = ceil(ell / 2)."""
+    m = (ell + 1) // 2
+    angle = 2.0 * math.pi * m * x
+    return _SQRT2 * math.cos(angle) if ell % 2 == 1 else _SQRT2 * math.sin(angle)
+
+
+def psi(r: int, ell: int, x: float) -> float:
+    """Bootstrap basis: cos(2 pi ell x) for r=1, sin(2 pi ell x) for r=2."""
+    angle = 2.0 * math.pi * ell * x
+    return math.cos(angle) if r == 1 else math.sin(angle)
+
+
+def phi_matrix(n: int, k: int) -> np.ndarray:
+    """(n, k) table of phi_l(t/n) for t = 1..n, l = 1..k."""
+    grid = np.arange(1, n + 1, dtype=np.float64) / n
+    out = np.empty((n, k), dtype=np.float64)
+    for ell in range(1, k + 1):
+        m = (ell + 1) // 2
+        angle = 2.0 * np.pi * m * grid
+        out[:, ell - 1] = np.cos(angle) if ell % 2 == 1 else np.sin(angle)
+    return out * _SQRT2
+
+
+def psi_matrices(n: int, k_star: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, k_star) tables of cos(2 pi l t/n) and sin(2 pi l t/n)."""
+    grid = np.arange(1, n + 1, dtype=np.float64) / n
+    angles = 2.0 * np.pi * np.outer(grid, np.arange(1, k_star + 1))
+    return np.cos(angles), np.sin(angles)
+
+
+def project(residuals, ell: int) -> float:
+    """Projection coefficient n^{-1/2} sum_t phi_ell(t/n) u_t, one slot."""
+    u = np.asarray(residuals, dtype=np.float64)
+    n = u.size
+    vals = np.array([phi(ell, t / n) for t in range(1, n + 1)])
+    return float(vals.dot(u) / math.sqrt(n))
+
+
+def project_all(residuals, k: int) -> np.ndarray:
+    """All projection coefficients l = 1..k through the dense table."""
+    u = np.asarray(residuals, dtype=np.float64)
+    return phi_matrix(u.shape[0], k).T.dot(u) / math.sqrt(u.shape[0])
+
+
+def eta_from_innovations(n: int, k_star: int, v: np.ndarray) -> np.ndarray:
+    """Multipliers K*^{-1/2} (C v_1 + S v_2) for v of shape (2, k_star[, B])."""
+    cos_tab, sin_tab = psi_matrices(n, k_star)
+    return (cos_tab.dot(v[0]) + sin_tab.dot(v[1])) / math.sqrt(k_star)
+
+
+def replicate_stats(y1, y2, k1: int, k2: int, v1, v2) -> np.ndarray:
+    """Time-domain replicate kernel: eta, then u*eta, demean, phi-table
+    projection, then the studentized difference of means (NaN when both
+    bootstrap LRVs are zero)."""
+    means = []
+    omegas = []
+    for sample, k, v in ((y1, k1, v1), (y2, k2, v2)):
+        eta = eta_from_innovations(sample.n, v.shape[1], v)
+        ustar = sample.residuals.reshape(-1, *([1] * (eta.ndim - 1))) * eta
+        mean_star = ustar.mean(axis=0)
+        z = phi_matrix(sample.n, k).T.dot(ustar - mean_star) / math.sqrt(sample.n)
+        means.append(mean_star)
+        omegas.append(np.mean(z * z, axis=0) / sample.n)
+    denom_sq = omegas[0] + omegas[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)

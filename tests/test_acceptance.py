@@ -15,13 +15,9 @@ import pytest
 from conftest import record_criterion
 
 import oracles
-from harmeans.basis import phi_matrix, psi_matrices
+from harmeans import basis
 from harmeans.lrv import TimeSeriesSample, _curvature_b, select_k
-from harmeans.sharwb import (
-    _eta_from_innovations,
-    bootstrap_lrv_closed_form,
-    eta_autocov,
-)
+from harmeans.sharwb import bootstrap_lrv_closed_form, eta_autocov
 from harmeans.simlab import Scenario, run_cell, simulate_series
 from harmeans.statdist import chisq_sf, t_cdf, t_quantile
 from harmeans.ttests import har_pooled_t, har_welch_t, k_adf
@@ -118,7 +114,7 @@ def test_criterion_5_eta_moment_identities():
     n, k_star, draws = 50, 5, 100_000
     rng = np.random.default_rng(SEED)
     v = rng.standard_normal((2, k_star, draws))
-    eta = _eta_from_innovations(n, k_star, v)  # (n, draws)
+    eta = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)  # (n, draws)
     worst_var = max(abs(float(eta[t].var()) - 1.0) for t in (0, 9, 24, 49))
     worst_cov = 0.0
     for t, s in ((9, 6), (20, 17), (40, 35)):
@@ -140,7 +136,7 @@ def test_criterion_6_bootstrap_lrv_identity():
     u = series.residuals
     closed = bootstrap_lrv_closed_form(u, k_star)
     v = rng.standard_normal((2, k_star, draws))
-    eta = _eta_from_innovations(n, k_star, v)
+    eta = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)
     stats = u.dot(eta) / math.sqrt(n)
     mc_var = float(stats.var())
     rel_err = abs(mc_var - closed) / closed
@@ -176,12 +172,13 @@ def test_criterion_7_balanced_df_and_statistic_identity():
 
 
 def test_criterion_8_basis_lemma_suite():
+    # the package's tables: coefficients and cosine/sine sums of the unit vectors
     n, kmax = 1000, 20
-    tab = phi_matrix(n, kmax)
+    unit = np.eye(n)
+    tab = math.sqrt(n) * basis.coefficients(unit, kmax).T
     gram_err = float(np.max(np.abs(tab.T.dot(tab) / n - np.eye(kmax))))
     mean_err = float(np.max(np.abs(tab.mean(axis=0))))
-    cos_tab, sin_tab = psi_matrices(n, kmax)
-    stacked = np.hstack([cos_tab, sin_tab])
+    stacked = np.vstack(basis.cos_sin_sums(unit, kmax)).T
     psi_err = float(
         np.max(np.abs(stacked.T.dot(stacked) / n - 0.5 * np.eye(2 * kmax)))
     )

@@ -1,6 +1,7 @@
 """Long-run variance estimation and basis-count selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestSeriesLrv:
             total += series_lrv(sample(rng.standard_normal(4000)), 30).omega
         assert 0.95 <= total / n_seeds <= 1.05
 
+
+    def test_traced_peak_stays_small_at_large_k(self):
+        # T = 8 000 at k = T/2: a dense T x k basis table would take 256 MB
+        y = sample(np.random.default_rng(8).standard_normal(8_000))
+        tracemalloc.start()
+        try:
+            estimate = series_lrv(y, 4_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.coefficients.shape == (4_000,)
+        assert peak < 4 * 2**20
 
 class TestAr1Plugin:
     def test_zero_lag1_autocovariance_fixture(self):

@@ -1,11 +1,14 @@
 """Wild bootstrap engine: multiplier moments, LRV identity, test mechanics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import harmeans.sharwb as sharwb_mod
+import oracles
+from harmeans import basis
 from harmeans.errors import (
     DegenerateReplicatesError,
     DegenerateSampleError,
@@ -14,10 +17,11 @@ from harmeans.errors import (
 from harmeans.lrv import TimeSeriesSample
 from harmeans.sharwb import (
     BootstrapRun,
+    _draw_innovations,
     _empirical_quantile,
-    _eta_from_innovations,
+    _operator,
     _pooled_mean,
-    _replicate_stats_from_eta,
+    _replicate_stats,
     bootstrap_lrv_closed_form,
     bootstrap_replicate,
     eta_autocov,
@@ -44,7 +48,7 @@ class TestEta:
         n = 40
         v = np.zeros((2, 1))
         v[0, 0] = 1.0
-        eta = _eta_from_innovations(n, 1, v)
+        eta = basis.cos_sin_series(n, v[0], v[1])  # K* = 1: no rescaling
         expected = np.cos(2.0 * np.pi * np.arange(1, n + 1) / n)
         assert np.allclose(eta, expected, atol=1e-14)
 
@@ -148,9 +152,9 @@ class TestReplicate:
 
     def test_forced_zero_innovations_degenerate(self, fixed_pair):
         y1, y2 = fixed_pair
-        eta1 = np.zeros(y1.n)
-        eta2 = np.zeros(y2.n)
-        stat = _replicate_stats_from_eta(y1, y2, 3, 3, eta1, eta2)
+        v1 = np.zeros((2, 3))
+        v2 = np.zeros((2, 3))
+        stat = _replicate_stats(_operator(y1, 3, 3), _operator(y2, 3, 3), v1, v2)
         assert math.isnan(float(stat))
 
     def test_single_replicate_matches_batch_shape(self, fixed_pair):
@@ -267,7 +271,7 @@ class TestSharWbTest:
 
     def test_redraw_path_counts(self, fixed_pair, monkeypatch):
         y1, y2 = fixed_pair
-        original = sharwb_mod._replicate_stats_from_eta
+        original = sharwb_mod._replicate_stats
         call_state = {"batch_done": False}
 
         def batch_with_hole(*args, **kwargs):
@@ -279,26 +283,24 @@ class TestSharWbTest:
                 out[11] = np.nan
             return out
 
-        monkeypatch.setattr(sharwb_mod, "_replicate_stats_from_eta", batch_with_hole)
+        monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
         _, run = shar_wb_test(y1, y2, n_boot=49, seed=9)
         assert run.n_redrawn == 2
         assert not np.any(np.isnan(run.replicate_stats))
 
     def test_redraw_abort_after_cap(self, fixed_pair, monkeypatch):
         y1, y2 = fixed_pair
-        original = sharwb_mod._replicate_stats_from_eta
+        original = sharwb_mod._replicate_stats
 
-        def batch_with_hole(y1_, y2_, k1_, k2_, eta1, eta2):
-            out = original(y1_, y2_, k1_, k2_, eta1, eta2)
+        def batch_with_hole(op1, op2, v1, v2):
+            out = original(op1, op2, v1, v2)
             if out.ndim == 1:
                 out = out.copy()
                 out[0] = np.nan
-            return out
+                return out
+            return np.float64(np.nan)  # every single redraw is degenerate
 
-        monkeypatch.setattr(sharwb_mod, "_replicate_stats_from_eta", batch_with_hole)
-        monkeypatch.setattr(
-            sharwb_mod, "bootstrap_replicate", lambda *a, **k: float("nan")
-        )
+        monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
         with pytest.raises(DegenerateReplicatesError):
             shar_wb_test(y1, y2, n_boot=49, seed=9)
 
@@ -312,3 +314,38 @@ class TestSharWbTest:
         assert 0.0 <= run.p_value <= 1.0
         assert run.crit_lo <= run.crit_hi
         assert report.detail["k_star1"] == 5
+
+
+class TestReplicateKernel:
+    """The coefficient-space kernel against the time-domain reference."""
+
+    @pytest.mark.parametrize("n", [8, 9, 30, 31, 200, 201])
+    @pytest.mark.parametrize("law", ["normal", "rademacher"])
+    def test_matches_time_domain_kernel(self, n, law):
+        # K = n // 2 is the Nyquist case when n is even; group 2 is one longer
+        rng = np.random.default_rng(n)
+        y1 = sample(rng.standard_normal(n))
+        y2 = sample(2.0 * rng.standard_normal(n + 1) + 1.0)
+        for k in sorted({1, 2, n // 2}):
+            op1, op2 = _operator(y1, k, k), _operator(y2, k, k)
+            for batch in ((), (64,)):
+                v1 = _draw_innovations(rng, (2, k, *batch), law)
+                v2 = _draw_innovations(rng, (2, k, *batch), law)
+                got = _replicate_stats(op1, op2, v1, v2)
+                want = oracles.replicate_stats(y1, y2, k, k, v1, v2)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-12)
+
+    def test_traced_peak_stays_small_at_large_T(self):
+        # T = 20 000 per group, B = 399: the dense multiplier path held
+        # several T x B matrices (over 300 MB); the operator needs a few MB
+        rng = np.random.default_rng(2020)
+        y1 = simulate_series(20_000, 0.5, 1.0, 0.0, "normal", rng)
+        y2 = simulate_series(20_000, 0.5, 1.0, 0.0, "normal", rng)
+        tracemalloc.start()
+        try:
+            shar_wb_test(y1, y2, n_boot=399, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

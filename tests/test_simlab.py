@@ -94,13 +94,13 @@ class TestEvaluate:
 
     def test_lrv_projected_once_per_group(self, monkeypatch):
         calls = []
-        original = basis.project_all
+        original = basis.coefficients
 
         def counting(residuals, k):
             calls.append(k)
             return original(residuals, k)
 
-        monkeypatch.setattr(basis, "project_all", counting)
+        monkeypatch.setattr(basis, "coefficients", counting)
         y1, y2 = wfh_pair()
         result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=3)
         assert calls == [result.groups[0].k, result.groups[1].k]
