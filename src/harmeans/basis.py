@@ -11,8 +11,10 @@ sqrt(2/T) Re U(m) and -sqrt(2/T) Im U(m).  The bootstrap basis is the plain
 pair cos(2 pi l t/T), sin(2 pi l t/T), whose sums against u are Re U(l) and
 -Im U(l).  The LRV coefficients of u times a bootstrap basis function are
 half sums and differences of U at m - l and m + l, and the bootstrap
-multipliers are one inverse real transform.  Every function works along
-axis 0, so a (T, n) array is n series at once.
+multipliers are one inverse real transform.  The transform is taken once
+per sample (``TimeSeriesSample.spectrum``); the readers below take that
+length-T spectrum and slice it.  Every function works along axis 0, so a
+(T, n) array is n series at once.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ def dft(u: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.concatenate((u[-1:], u[:-1])), axis=0)
 
 
-def coefficients(u: np.ndarray, k: int) -> np.ndarray:
-    """The k LRV projection coefficients T^{-1/2} sum_t phi_l(t/T) u_t."""
-    n = u.shape[0]
-    spec = dft(u)[1 : (k + 1) // 2 + 1]
+def coefficients(spectrum: np.ndarray, k: int) -> np.ndarray:
+    """The k LRV projection coefficients T^{-1/2} sum_t phi_l(t/T) u_t,
+    from U = dft(u)."""
+    n = spectrum.shape[0]
+    spec = spectrum[1 : (k + 1) // 2 + 1]
     out = np.empty((k,) + spec.shape[1:])
     out[0::2] = spec.real
     out[1::2] = -spec.imag[: k // 2]
@@ -39,16 +42,17 @@ def coefficients(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def cos_sin_sums(u: np.ndarray, k_star: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_t u_t cos(2 pi l t/T) and sum_t u_t sin(2 pi l t/T), l = 1..k_star."""
-    spec = dft(u)[1 : k_star + 1]
+def cos_sin_sums(spectrum: np.ndarray, k_star: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_t u_t cos(2 pi l t/T) and sum_t u_t sin(2 pi l t/T), l = 1..k_star,
+    from U = dft(u)."""
+    spec = spectrum[1 : k_star + 1]
     return spec.real, -spec.imag
 
 
-def modulated_coefficients(u: np.ndarray, k: int, k_star: int) -> np.ndarray:
+def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndarray:
     """(k, 2 k_star) matrix of the LRV coefficients of u times each bootstrap
-    basis function: column j is u * cos(2 pi j t/T), column k_star + j is
-    u * sin(2 pi j t/T).
+    basis function, from U = dft(u): column j is u * cos(2 pi j t/T), column
+    k_star + j is u * sin(2 pi j t/T).
 
     For LRV frequency m and bootstrap frequency j, with c = 1/sqrt(2T):
     cos-cos is c Re[U(m-j) + U(m+j)], cos-sin is c Im[U(m-j) - U(m+j)],
@@ -56,9 +60,9 @@ def modulated_coefficients(u: np.ndarray, k: int, k_star: int) -> np.ndarray:
     The rows read U(m+j) and U(m-j) as windows of U on f = 1-k_star ..
     m_top+k_star, so the only array of size k * k_star is the result.
     """
-    n = u.shape[0]
+    n = spectrum.shape[0]
     m_top = (k + 1) // 2
-    spec = dft(u)[np.arange(1 - k_star, m_top + k_star + 1) % n]
+    spec = spectrum[np.arange(1 - k_star, m_top + k_star + 1) % n]
     spec *= 1.0 / math.sqrt(2.0 * n)
     out = np.empty((k, 2 * k_star))
     cos_rows, sin_rows = out[0::2], out[1::2]

@@ -63,6 +63,9 @@ def _read_rows(path: str) -> list[list[str]]:
 
 
 def _is_number(cell: str) -> bool:
+    # float() also takes digit-group underscores and non-ASCII digits
+    if not cell.isascii() or "_" in cell:
+        return False
     try:
         float(cell)
     except ValueError:

@@ -3,8 +3,11 @@
 The long-run variance (LRV) of a stationary series is estimated by
 projecting demeaned observations onto the first K orthonormal trigonometric
 basis functions and averaging the squared projection coefficients.  The
-number of basis functions K is either supplied by the caller or chosen by
-the coverage-probability-error-minimizing rule built on an AR(1) plug-in,
+coefficients are read off the residuals' discrete Fourier transform, taken
+once per sample when it is built (``TimeSeriesSample.spectrum``), so an LRV
+for any K is a slice of it.  The number of basis functions K is either
+supplied by the caller or chosen by the coverage-probability-error-minimizing
+rule built on an AR(1) plug-in,
 
     K_hat = ceil(0.42293 * |B_bar|^(-1/3) * T^(2/3)),
 
@@ -28,13 +31,18 @@ _A_HAT_CAP = 0.97  # |AR(1) plug-in| cap; (1-A)^(-4) explodes near a unit root
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
-    """One group's observations with cached mean and demeaned residuals."""
+    """One group's observations with cached mean, demeaned residuals and
+    their read-only transform ``spectrum = basis.dft(residuals)``."""
 
     values: np.ndarray
     mean: float
     residuals: np.ndarray
-    # series_lrv estimates by k; valid because the arrays are read-only
-    _lrv_by_k: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        spectrum = basis.dft(self.residuals)
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
     def from_values(cls, values) -> "TimeSeriesSample":
@@ -86,23 +94,14 @@ class KSelection:
 
 
 def series_lrv(sample: TimeSeriesSample, k: int) -> LrvEstimate:
-    """Series LRV estimate: the average of the first k squared projections.
-
-    Computed once per (sample, k); later calls return the same estimate.
-    """
-    cached = sample._lrv_by_k.get(k)
-    if cached is not None:
-        return cached
+    """Series LRV estimate: the average of the first k squared projections."""
     if not 1 <= k <= sample.max_k:
         raise DomainError(
             f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
         )
-    coeffs = basis.coefficients(sample.residuals, k)
+    coeffs = basis.coefficients(sample.spectrum, k)
     coeffs.flags.writeable = False
-    omega = float(np.mean(coeffs * coeffs))
-    estimate = LrvEstimate(omega=omega, k=k, coefficients=coeffs)
-    sample._lrv_by_k[k] = estimate
-    return estimate
+    return LrvEstimate(omega=float((coeffs * coeffs).sum()) / k, k=k, coefficients=coeffs)
 
 
 def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:

@@ -19,9 +19,9 @@ that statistic, and so does demeaning, since every LRV basis function sums
 to zero on the grid.  So per group a replicate needs only mean(u*eta) = w.v
 and the K LRV coefficients A v of u*eta, with the 2K* innovations v stacked
 as the cosine block, then the sine block.  w and the K x 2K* matrix A are
-read off one transform of the residuals (see ``basis``) once per test;
-no T-long multiplier is formed.  Critical values are empirical quantiles of
-the replicate statistics.
+read off one transform of the residuals, the sample's ``spectrum`` (see
+``basis``), once per test; no T-long multiplier is formed.  Critical values
+are empirical quantiles of the replicate statistics.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def bootstrap_lrv_closed_form(residuals, k_star: int) -> float:
     if u.ndim != 1 or u.size < 2:
         raise DomainError("residuals must be a vector of length >= 2")
     _check_k_star(u.size, k_star)
-    cos_sums, sin_sums = basis.cos_sin_sums(u, k_star)
+    cos_sums, sin_sums = basis.cos_sin_sums(basis.dft(u), k_star)
     return float(np.sum(cos_sums * cos_sums + sin_sums * sin_sums) / u.size / k_star)
 
 
@@ -125,10 +125,11 @@ def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
 def _operator(sample: TimeSeriesSample, k: int, k_star: int):
     """The group's (w, A), with A scaled by T^{-1/2} so that the replicate's
     LRV over T is the mean of (A v)^2."""
-    u = sample.residuals / math.sqrt(k_star)
-    cos_sums, sin_sums = basis.cos_sin_sums(u, k_star)
-    w = np.concatenate([cos_sums, sin_sums]) / sample.n
-    return w, basis.modulated_coefficients(u / math.sqrt(sample.n), k, k_star)
+    cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k_star)
+    w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k_star))
+    a = basis.modulated_coefficients(sample.spectrum, k, k_star)
+    a /= math.sqrt(sample.n * k_star)
+    return w, a
 
 
 def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -151,31 +152,6 @@ def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
             denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan
         )
     return stats
-
-
-def bootstrap_replicate(
-    y1: TimeSeriesSample,
-    y2: TimeSeriesSample,
-    k1: int,
-    k2: int,
-    k_star1: int,
-    k_star2: int,
-    rng1: np.random.Generator,
-    rng2: np.random.Generator,
-    law: str = NORMAL_INNOVATIONS,
-) -> float:
-    """One bootstrap replicate statistic, innovations drawn per group.
-
-    Returns NaN when the replicate is degenerate (both bootstrap LRVs zero);
-    the full test driver redraws such replicates.
-    """
-    _check_k_star(y1.n, k_star1)
-    _check_k_star(y2.n, k_star2)
-    v1 = _draw_innovations(rng1, (2, k_star1), law)
-    v2 = _draw_innovations(rng2, (2, k_star2), law)
-    return float(
-        _replicate_stats(_operator(y1, k1, k_star1), _operator(y2, k2, k_star2), v1, v2)
-    )
 
 
 def _empirical_quantile(sorted_stats: np.ndarray, p: float) -> float:

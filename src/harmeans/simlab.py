@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -282,32 +282,17 @@ def _text_table(results: list[CellResult]) -> str:
 
 
 def _json_payload(results: list[CellResult]) -> dict:
-    cells = []
-    for res in results:
-        sc = res.scenario
-        cells.append(
-            {
-                "scenario": {
-                    "t1": sc.t1,
-                    "t2": sc.t2,
-                    "rho": sc.rho,
-                    "sigma1": sc.sigma1,
-                    "sigma2": sc.sigma2,
-                    "error_law": sc.error_law,
-                    "mu1": sc.mu1,
-                    "a": sc.a,
-                    "n_mc": sc.n_mc,
-                    "n_boot": sc.n_boot,
-                    "alpha": sc.alpha,
-                    "seed": sc.seed,
-                },
-                "reject_counts": dict(res.reject_counts),
-                "rejection_rates": dict(res.rejection_rates),
-                "mc_standard_errors": dict(res.mc_standard_errors),
-                "n_completed": res.n_completed,
-                "n_excluded": res.n_excluded,
-            }
-        )
+    cells = [
+        {
+            "scenario": asdict(res.scenario),
+            "reject_counts": dict(res.reject_counts),
+            "rejection_rates": dict(res.rejection_rates),
+            "mc_standard_errors": dict(res.mc_standard_errors),
+            "n_completed": res.n_completed,
+            "n_excluded": res.n_excluded,
+        }
+        for res in results
+    ]
     return {"version": __version__, "columns": list(TEST_COLUMNS), "cells": cells}
 
 

@@ -175,10 +175,10 @@ def test_criterion_8_basis_lemma_suite():
     # the package's tables: coefficients and cosine/sine sums of the unit vectors
     n, kmax = 1000, 20
     unit = np.eye(n)
-    tab = math.sqrt(n) * basis.coefficients(unit, kmax).T
+    tab = math.sqrt(n) * basis.coefficients(basis.dft(unit), kmax).T
     gram_err = float(np.max(np.abs(tab.T.dot(tab) / n - np.eye(kmax))))
     mean_err = float(np.max(np.abs(tab.mean(axis=0))))
-    stacked = np.vstack(basis.cos_sin_sums(unit, kmax)).T
+    stacked = np.vstack(basis.cos_sin_sums(basis.dft(unit), kmax)).T
     psi_err = float(
         np.max(np.abs(stacked.T.dot(stacked) / n - 0.5 * np.eye(2 * kmax)))
     )

@@ -257,19 +257,29 @@ class TestTestCommand:
                      "--value-col", "val", "--B", "49"])
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_cell_names_file_and_row(self, tmp_path, capsys, cell):
+    @staticmethod
+    def _assert_bad_cell_named(tmp_path, capsys, cell, problem):
+        # the cell sits in a data row of a --y2 file and of a --data file
         good = write(tmp_path / "good.csv", "y\n1.0\n2.5\n3.0\n4.5\n5.0\n")
         bad = write(tmp_path / "bad.csv", f"y\n1.0\n{cell}\n3.0\n4.5\n5.0\n")
         code = main(["test", "--y1", good, "--y2", bad])
         assert code == EXIT_INPUT
-        assert f"{bad}: row 3: non-finite value '{cell}'" in capsys.readouterr().err
+        assert f"{bad}: row 3: {problem} value '{cell}'" in capsys.readouterr().err
         rows = ["g,y"] + [f"a,{i}.5" for i in range(6)] + [f"b,{i}.0" for i in range(6)]
         rows[9] = f"b,{cell}"
         both = write(tmp_path / "both.csv", "\n".join(rows) + "\n")
         code = main(["test", "--data", both, "--group-col", "g", "--value-col", "y"])
         assert code == EXIT_INPUT
-        assert f"{both}: row 10: non-finite value '{cell}'" in capsys.readouterr().err
+        assert f"{both}: row 10: {problem} value '{cell}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_names_file_and_row(self, tmp_path, capsys, cell):
+        self._assert_bad_cell_named(tmp_path, capsys, cell, "non-finite")
+
+    @pytest.mark.parametrize("cell", ["1_5", "\u0661\u0662"])
+    def test_float_only_spellings_are_non_numeric(self, tmp_path, capsys, cell):
+        # float() reads these as 15.0 and 12.0
+        self._assert_bad_cell_named(tmp_path, capsys, cell, "non-numeric")
 
     def test_conflicting_modes(self, tmp_path, capsys):
         f1 = write(tmp_path / "x.csv", "1.0\n2.0\n3.0\n4.0\n")

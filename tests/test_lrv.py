@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from harmeans import basis
 from harmeans.errors import DegenerateSampleError, DomainError
 from harmeans.lrv import (
     TimeSeriesSample,
@@ -44,6 +45,11 @@ class TestTimeSeriesSample:
         s = sample([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+        with pytest.raises(ValueError):
+            s.residuals[0] = 9.0
+        with pytest.raises(ValueError):
+            s.spectrum[0] = 9.0
+        assert np.array_equal(s.spectrum, basis.dft(s.residuals))
 
     def test_variance_matches_unbiased_formula(self):
         vals = [0.0, 2.0]

@@ -23,7 +23,6 @@ from harmeans.sharwb import (
     _pooled_mean,
     _replicate_stats,
     bootstrap_lrv_closed_form,
-    bootstrap_replicate,
     eta_autocov,
     gen_eta,
     shar_wb_test,
@@ -159,10 +158,14 @@ class TestReplicate:
 
     def test_single_replicate_matches_batch_shape(self, fixed_pair):
         y1, y2 = fixed_pair
-        rng1 = np.random.default_rng(1)
-        rng2 = np.random.default_rng(2)
-        value = bootstrap_replicate(y1, y2, 4, 4, 4, 4, rng1, rng2)
-        assert math.isfinite(value)
+        op1, op2 = _operator(y1, 4, 4), _operator(y2, 4, 4)
+        v1 = _draw_innovations(np.random.default_rng(1), (2, 4), "normal")
+        v2 = _draw_innovations(np.random.default_rng(2), (2, 4), "normal")
+        value = _replicate_stats(op1, op2, v1, v2)
+        assert value.shape == () and math.isfinite(float(value))
+        batch = _replicate_stats(op1, op2, v1[..., None], v2[..., None])
+        assert batch.shape == (1,)
+        assert batch[0] == pytest.approx(float(value), rel=1e-12)
 
     def test_replicate_distribution_near_standard(self):
         # fixed iid-normal data, auto K: replicate stats roughly N(0,1)
@@ -228,15 +231,12 @@ class TestSharWbTest:
 
     def test_swap_antisymmetry_with_paired_streams(self, fixed_pair):
         y1, y2 = fixed_pair
+        op1, op2 = _operator(y1, 4, 4), _operator(y2, 3, 3)
         for seed in range(6):
-            fwd = bootstrap_replicate(
-                y1, y2, 4, 3, 4, 3,
-                np.random.default_rng(seed), np.random.default_rng(1000 + seed),
-            )
-            rev = bootstrap_replicate(
-                y2, y1, 3, 4, 3, 4,
-                np.random.default_rng(1000 + seed), np.random.default_rng(seed),
-            )
+            v1 = _draw_innovations(np.random.default_rng(seed), (2, 4), "normal")
+            v2 = _draw_innovations(np.random.default_rng(1000 + seed), (2, 3), "normal")
+            fwd = float(_replicate_stats(op1, op2, v1, v2))
+            rev = float(_replicate_stats(op2, op1, v2, v1))
             assert rev == pytest.approx(-fwd, rel=1e-12)
 
     def test_observed_statistic_negates_under_swap(self, fixed_pair):

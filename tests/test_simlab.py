@@ -94,21 +94,19 @@ class TestEvaluate:
 
     def test_lrv_projected_once_per_group(self, monkeypatch):
         calls = []
-        original = basis.coefficients
+        original = basis.dft
 
-        def counting(residuals, k):
-            calls.append(k)
-            return original(residuals, k)
+        def counting(u):
+            calls.append(u.shape)
+            return original(u)
 
-        monkeypatch.setattr(basis, "coefficients", counting)
+        monkeypatch.setattr(basis, "dft", counting)
         y1, y2 = wfh_pair()
+        assert calls == [(37,), (85,)]
         result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=3)
-        assert calls == [result.groups[0].k, result.groups[1].k]
-        k = result.groups[0].k
-        assert series_lrv(y1, k) is series_lrv(y1, k)
-        assert series_lrv(y1, k) is result.groups[0].lrv
-
-
+        assert calls == [(37,), (85,)]  # evaluate only reads the two spectra
+        for y, group in zip((y1, y2), result.groups):
+            assert series_lrv(y, group.k).omega == group.lrv.omega
 
 
 class TestSimulateSeries:
