@@ -19,7 +19,9 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,25 +43,46 @@ EXIT_INTERNAL = 4
 _MIN_GROUP_LEN = 4
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _csv_rows(
+    lines: list[str], line_nos: Sequence[int], *dialect
+) -> tuple[list[list[str]], Sequence[int]]:
+    rows = list(csv.reader(lines, *dialect))
+    if len(rows) == len(lines):
+        return rows, line_nos
+    # a quoted cell spanned lines: number each row by the line it starts on
+    reader = csv.reader(lines, *dialect)
+    starts, consumed = [], 0
+    for _ in reader:
+        starts.append(line_nos[consumed])
+        consumed = reader.line_num
+    return rows, starts
+
+
+def _read_rows(path: str) -> tuple[list[list[str]], Sequence[int]]:
+    """The delimited rows of the non-blank lines, with each row's file line number.
+
+    Cells are not stripped; the readers strip the header and the cells they use.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise IngestError(f"{path}: {exc.strerror or exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = text.splitlines()
+    line_nos = range(1, len(lines) + 1)
+    if not all(map(str.strip, lines)):
+        line_nos = [no for no, ln in zip(line_nos, lines) if ln.strip()]
+        lines = [lines[no - 1] for no in line_nos]
+    if not line_nos:
         raise IngestError(f"{path}: file is empty")
     try:
         dialect = csv.Sniffer().sniff("\n".join(lines[:20]), delimiters=",;\t")
-        rows = [row for row in csv.reader(lines, dialect)]
+        return _csv_rows(lines, line_nos, dialect)
     except csv.Error:
         # fall back to comma, then whitespace
         if "," in lines[0]:
-            rows = [row for row in csv.reader(lines)]
-        else:
-            rows = [ln.split() for ln in lines]
-    return [[cell.strip() for cell in row] for row in rows]
+            return _csv_rows(lines, line_nos)
+        return [ln.split() for ln in lines], line_nos
 
 
 def _is_number(cell: str) -> bool:
@@ -74,15 +97,15 @@ def _is_number(cell: str) -> bool:
 
 
 def _split_header(
-    rows: list[list[str]], path: str
-) -> tuple[list[str] | None, list[list[str]], int]:
-    """Detect an optional header row; returns (header, data_rows, first_row_no)."""
-    first = rows[0]
+    rows: list[list[str]], line_nos: Sequence[int], path: str
+) -> tuple[list[str] | None, list[list[str]], Sequence[int]]:
+    """Detect an optional header row; returns (header, data_rows, their line numbers)."""
+    first = [cell.strip() for cell in rows[0]]
     if any(not _is_number(cell) for cell in first if cell != ""):
         if len(rows) == 1:
             raise IngestError(f"{path}: contains a header but no data rows")
-        return first, rows[1:], 2
-    return None, rows, 1
+        return first, rows[1:], line_nos[1:]
+    return None, rows, line_nos
 
 
 def _column_index(selector, header: list[str] | None, width: int, path: str) -> int:
@@ -103,9 +126,9 @@ def _column_index(selector, header: list[str] | None, width: int, path: str) -> 
 
 
 def _parse_cell(row: list[str], idx: int, row_no: int, path: str) -> float:
-    if idx >= len(row) or row[idx] == "":
+    cell = row[idx].strip() if idx < len(row) else ""
+    if cell == "":
         raise IngestError(f"{path}: row {row_no}: missing value in column {idx}")
-    cell = row[idx]
     if not _is_number(cell):
         raise IngestError(f"{path}: row {row_no}: non-numeric value {cell!r}")
     value = float(cell)
@@ -114,44 +137,65 @@ def _parse_cell(row: list[str], idx: int, row_no: int, path: str) -> float:
     return value
 
 
+def _parse_column(
+    data: list[list[str]], idx: int, line_nos: Sequence[int], path: str
+) -> np.ndarray:
+    """Column idx of the data rows as floats, by the rule of ``_parse_cell``.
+
+    The column is checked and parsed in bulk.  float() strips the ASCII
+    spaces that strip() would, raises on an empty cell, and parses as
+    ``_parse_cell`` does, so a column that passes is read bit for bit as the
+    per-cell rule reads it.  Any other column goes through ``_parse_cell``
+    row by row, which names its first fault.
+    """
+    try:
+        cells = list(map(itemgetter(idx), data))
+        joined = "".join(cells)
+        if joined.isascii() and "_" not in joined:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+            if np.isfinite(values).all():
+                return values
+    except (IndexError, ValueError):
+        pass
+    return np.array(
+        [_parse_cell(row, idx, no, path) for row, no in zip(data, line_nos)],
+        dtype=np.float64,
+    )
+
+
 def read_series(path: str, column=None) -> np.ndarray:
     """Read one numeric column from a delimited file, rows in time order."""
-    rows = _read_rows(path)
-    header, data, start = _split_header(rows, path)
-    idx = _column_index(column, header, max(len(r) for r in data), path)
-    values = [
-        _parse_cell(row, idx, row_no, path)
-        for row_no, row in enumerate(data, start=start)
-    ]
-    return np.asarray(values, dtype=np.float64)
+    rows, line_nos = _read_rows(path)
+    header, data, line_nos = _split_header(rows, line_nos, path)
+    idx = _column_index(column, header, max(map(len, data)), path)
+    return _parse_column(data, idx, line_nos, path)
 
 
 def read_grouped(path: str, group_col, value_col) -> tuple[np.ndarray, np.ndarray]:
     """Split one file into two series by a group column, keeping row order."""
-    rows = _read_rows(path)
-    header, data, start = _split_header(rows, path)
-    width = max(len(r) for r in data)
+    rows, line_nos = _read_rows(path)
+    header, data, line_nos = _split_header(rows, line_nos, path)
+    width = max(map(len, data))
     g_idx = _column_index(group_col, header, width, path)
     v_idx = _column_index(value_col, header, width, path)
-    groups: dict[str, list[float]] = {}
-    order: list[str] = []
-    for row_no, row in enumerate(data, start=start):
-        if g_idx >= len(row) or row[g_idx] == "":
-            raise IngestError(f"{path}: row {row_no}: missing group label")
-        label = row[g_idx]
-        value = _parse_cell(row, v_idx, row_no, path)
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
-        groups[label].append(value)
+    try:
+        labels = list(map(str.strip, map(itemgetter(g_idx), data)))
+    except IndexError:
+        labels = [""]
+    if "" in labels:
+        # a label is missing: name the first fault in row order
+        for row, no in zip(data, line_nos):
+            if g_idx >= len(row) or row[g_idx].strip() == "":
+                raise IngestError(f"{path}: row {no}: missing group label")
+            _parse_cell(row, v_idx, no, path)
+    values = _parse_column(data, v_idx, line_nos, path)
+    order = list(dict.fromkeys(labels))
     if len(order) != 2:
         raise IngestError(
             f"{path}: expected exactly 2 group labels, found {len(order)}: {order}"
         )
-    return (
-        np.asarray(groups[order[0]], dtype=np.float64),
-        np.asarray(groups[order[1]], dtype=np.float64),
-    )
+    first = np.fromiter(map(order[0].__eq__, labels), bool, len(labels))
+    return values[first], values[~first]
 
 
 def ingest(args) -> tuple[TimeSeriesSample, TimeSeriesSample]:

@@ -26,7 +26,11 @@ are empirical quantiles of the replicate statistics.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +136,57 @@ def _operator(sample: TimeSeriesSample, k: int, k_star: int):
     return w, a
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count calls of the OpenBLAS numpy links, or None."""
+    from numpy.linalg import _umath_linalg  # a compiled module linked to the BLAS
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    # numpy >= 2 wheels, numpy 1.x wheels, a system OpenBLAS
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _calling_thread_blas():
+    """Run numpy's OpenBLAS products on the calling thread only.
+
+    A threaded product wakes OpenBLAS's worker pool, whose threads then spin
+    for about 0.1 s.  When another core is busy, the product waits for a
+    worker to be scheduled (about 15 ms for a 60 x 120 by 120 x 399 product
+    that takes 0.2 ms on one thread) and the spinning workers take CPU from
+    the rest of the process.  One thread also makes the products, and so the
+    replicate statistics, independent of the machine's core count.  The
+    thread count is process-wide: the lock keeps concurrent callers from
+    restoring each other's setting.  Other BLAS libraries are left alone.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _BLAS_THREADS_LOCK:
+        n_threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(n_threads)
+
+
 def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Studentized replicate statistics for innovation draws.
 
@@ -141,11 +196,12 @@ def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """
     means = []
     omegas = []
-    for (w, a), v in ((op1, v1), (op2, v2)):
-        v = v.reshape(w.size, *v.shape[2:])
-        z = a.dot(v)
-        means.append(w.dot(v))
-        omegas.append(np.mean(z * z, axis=0))
+    with _calling_thread_blas():
+        for (w, a), v in ((op1, v1), (op2, v2)):
+            v = v.reshape(w.size, *v.shape[2:])
+            z = a.dot(v)
+            means.append(w.dot(v))
+            omegas.append(np.mean(z * z, axis=0))
     denom_sq = omegas[0] + omegas[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         stats = np.where(

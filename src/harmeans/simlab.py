@@ -30,7 +30,7 @@ from . import __version__
 from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
 from .lrv import LrvEstimate, TimeSeriesSample, resolve_k, series_lrv
 from .sharwb import BootstrapRun, shar_wb_test
-from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
+from .ttests import NORMAL, T_ADJUSTED, _har_pooled, _har_welch, classical_t, welch_t
 
 NORMAL_ERRORS = "normal"
 CHISQ1_ERRORS = "chisq1"
@@ -94,12 +94,13 @@ def evaluate(
     """
     groups = (_fit_group(y1, k1), _fit_group(y2, k2))
     k1, k2 = groups[0].k, groups[1].k
+    fits = (k1, k2, groups[0].lrv.omega, groups[1].lrv.omega)
     outcomes = {
         "t0": _attempt(classical_t, y1, y2, alpha),
         "t1": _attempt(welch_t, y1, y2, alpha),
-        "t0_har": _attempt(har_pooled_t, y1, y2, k1, k2, alpha),
-        "t1_har_norm": _attempt(har_welch_t, y1, y2, k1, k2, alpha, reference=NORMAL),
-        "t1_har": _attempt(har_welch_t, y1, y2, k1, k2, alpha, reference=T_ADJUSTED),
+        "t0_har": _attempt(_har_pooled, y1, y2, *fits, alpha),
+        "t1_har_norm": _attempt(_har_welch, y1, y2, *fits, alpha, NORMAL),
+        "t1_har": _attempt(_har_welch, y1, y2, *fits, alpha, T_ADJUSTED),
         "t1_har_boot": _attempt(
             shar_wb_test, y1, y2, alpha=alpha, n_boot=n_boot, seed=seed, k1=k1, k2=k2
         ),

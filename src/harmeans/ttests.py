@@ -98,12 +98,10 @@ def welch_t(
 
 
 def _har_inputs(y1: TimeSeriesSample, y2: TimeSeriesSample, k1, k2):
-    """Resolved basis counts, per-group series LRVs and the shared detail keys."""
+    """Resolved basis counts and the per-group series LRVs."""
     k1 = resolve_k(y1, k1)
     k2 = resolve_k(y2, k2)
-    om1 = series_lrv(y1, k1).omega
-    om2 = series_lrv(y2, k2).omega
-    return k1, k2, om1, om2, _detail(y1, y2, lrv1=om1, lrv2=om2, K1=k1, K2=k2)
+    return k1, k2, series_lrv(y1, k1).omega, series_lrv(y2, k2).omega
 
 
 def har_pooled_t(
@@ -115,14 +113,21 @@ def har_pooled_t(
 ) -> TestReport:
     """Robust pooled t-test: pooled series LRV, referenced to t(K1+K2)."""
     _validate_alpha(alpha)
-    k1, k2, om1, om2, detail = _har_inputs(y1, y2, k1, k2)
+    return _har_pooled(y1, y2, *_har_inputs(y1, y2, k1, k2), alpha)
+
+
+def _har_pooled(
+    y1: TimeSeriesSample, y2: TimeSeriesSample, k1: int, k2: int, om1: float, om2: float,
+    alpha: float,
+) -> TestReport:
+    """``har_pooled_t`` on resolved basis counts and the LRVs they give."""
     pooled = (k1 * om1 + k2 * om2) / (k1 + k2)
     if pooled <= 0.0:
         raise DegenerateSampleError("pooled long-run variance is zero")
     t1, t2 = y1.n, y2.n
     stat = (y1.mean - y2.mean) / (math.sqrt(pooled) * math.sqrt(1.0 / t1 + 1.0 / t2))
     ref = RefDistribution(DistKind.STUDENT_T, df=float(k1 + k2))
-    detail["df"] = float(k1 + k2)
+    detail = _detail(y1, y2, lrv1=om1, lrv2=om2, K1=k1, K2=k2, df=float(k1 + k2))
     return _report("t0_har", stat, ref, alpha, detail)
 
 
@@ -174,7 +179,15 @@ def har_welch_t(
         raise DomainError(
             f"reference must be '{NORMAL}' or '{T_ADJUSTED}', got {reference!r}"
         )
-    k1, k2, om1, om2, detail = _har_inputs(y1, y2, k1, k2)
+    return _har_welch(y1, y2, *_har_inputs(y1, y2, k1, k2), alpha, reference)
+
+
+def _har_welch(
+    y1: TimeSeriesSample, y2: TimeSeriesSample, k1: int, k2: int, om1: float, om2: float,
+    alpha: float, reference: str,
+) -> TestReport:
+    """``har_welch_t`` on resolved basis counts and the LRVs they give."""
+    detail = _detail(y1, y2, lrv1=om1, lrv2=om2, K1=k1, K2=k2)
     t1, t2 = y1.n, y2.n
     denom_sq = om1 / t1 + om2 / t2
     if denom_sq <= 0.0:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmeans import __version__
+from harmeans import __version__, cli
 from harmeans.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -98,6 +98,28 @@ class TestReadSeries:
         with pytest.raises(IngestError, match="no column named"):
             read_series(path, "z")
 
+    def test_byte_order_mark_keeps_first_observation(self, tmp_path):
+        path = write(tmp_path / "bom.csv", "\ufeff1.5\n2.5\n3.5\n4.5\n")
+        assert read_series(path).tolist() == [1.5, 2.5, 3.5, 4.5]
+
+    def test_rows_are_file_line_numbers(self, tmp_path):
+        path = write(tmp_path / "gaps.csv", "value\n1\n\n2\nabc\n")
+        with pytest.raises(IngestError) as exc:
+            read_series(path)
+        assert str(exc.value) == f"{path}: row 5: non-numeric value 'abc'"
+
+    def test_row_after_a_quoted_cell_across_lines(self, tmp_path):
+        path = write(tmp_path / "quoted.csv", 't,y\n1,"2\n3"\n4,5\n6,abc\n')
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "y")
+        assert str(exc.value) == f"{path}: row 5: non-numeric value 'abc'"
+
+    def test_missing_value_names_its_column(self, tmp_path):
+        path = write(tmp_path / "wide.csv", "a,b,c\n1,2,3\n4,5,\n")
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "c")
+        assert str(exc.value) == f"{path}: row 3: missing value in column 2"
+
 
 class TestReadGrouped:
     def test_interleaved_stable_split(self, tmp_path):
@@ -114,6 +136,126 @@ class TestReadGrouped:
         path = write(tmp_path / "g.csv", "g,y\n1,1.0\n2,2.0\n3,3.0\n")
         with pytest.raises(IngestError, match="exactly 2 group labels"):
             read_grouped(path, "g", "y")
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = write(tmp_path / "bom.csv", "\ufeffgroup,value\na,1.0\nb,2.0\na,3.0\nb,4.0\n")
+        v1, v2 = read_grouped(path, "group", "value")
+        assert (v1.tolist(), v2.tolist()) == ([1.0, 3.0], [2.0, 4.0])
+
+    @pytest.mark.parametrize(
+        ("label_row", "value_row", "message"),
+        [(5, 8, "row 7: missing group label"), (6, 3, "row 5: non-numeric value 'x'")],
+    )
+    def test_first_fault_in_row_order(self, tmp_path, label_row, value_row, message):
+        rows = [["a" if i % 2 == 0 else "b", f"{i}.5"] for i in range(10)]
+        rows[label_row][0] = ""
+        rows[value_row][1] = "x"
+        path = write(tmp_path / "g.csv", "g,y\n" + "".join(f"{g},{v}\n" for g, v in rows))
+        with pytest.raises(IngestError) as exc:
+            read_grouped(path, "g", "y")
+        assert str(exc.value) == f"{path}: {message}"
+
+
+SHORT = None  # a data row that ends before the value column
+
+
+def _valid_cells() -> list[str]:
+    rng = np.random.default_rng(8)
+    cells = []
+    for exponent in range(-300, 301, 25):
+        x = float(rng.uniform(1.0, 10.0) * 10.0**exponent)
+        cells += [repr(x), "%.17g" % -x]
+    cells += [
+        "5e-324", "%.17g" % 2.5e-310, repr(-1.5e-315), "+3", ".5", "5.", "1E5",
+        "-0.0", " 1.25", "2.75 ", "  -7.5  ",
+    ]
+    return cells
+
+
+def _expected_fault(path, rows) -> str | None:
+    """The per-cell rule, written out: the message for the first bad value cell."""
+    for no, (_, cell) in enumerate(rows, start=2):
+        cell = "" if cell is SHORT else cell.strip()
+        if cell == "":
+            return f"{path}: row {no}: missing value in column 1"
+        if not cell.isascii() or "_" in cell:
+            return f"{path}: row {no}: non-numeric value {cell!r}"
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"{path}: row {no}: non-numeric value {cell!r}"
+        if not math.isfinite(value):
+            return f"{path}: row {no}: non-finite value {cell!r}"
+    return None
+
+
+class TestBulkParse:
+    """The bulk column parse agrees with the per-cell rule, cell for cell."""
+
+    FAULTS = ["", SHORT, "1_5", "\u0661\u0662", "nan", "inf", "abc"]
+
+    @staticmethod
+    def _read(tmp_path, mode, cells):
+        # a label or time column first, then the value column (index 1)
+        rows = [("a" if i % 2 == 0 else "b", cell) for i, cell in enumerate(cells)]
+        lines = [g if cell is SHORT else f"{g},{cell}" for g, cell in rows]
+        path = write(tmp_path / f"{mode}.csv", "g,value\n" + "\n".join(lines) + "\n")
+        try:
+            if mode == "series":
+                got = read_series(path, "value")
+            else:
+                got = np.concatenate(read_grouped(path, "g", "value"))
+        except IngestError as exc:
+            return path, rows, str(exc)
+        return path, rows, got
+
+    @pytest.mark.parametrize("mode", ["series", "grouped"])
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {},
+            {0: ""},
+            {3: SHORT},
+            {7: "1_5"},
+            {20: "\u0661\u0662", 40: "abc"},
+            {44: "nan", 12: "inf"},
+            {-1: "abc"},
+            {30: "", 31: SHORT, 32: "1_5"},
+            {i * 9: fault for i, fault in enumerate(FAULTS)},
+            {60 - i * 9: fault for i, fault in enumerate(FAULTS)},
+        ],
+        ids=lambda faults: "+".join(f"{k}:{v!r}" for k, v in faults.items()) or "valid",
+    )
+    def test_matches_per_cell_rule(self, tmp_path, mode, faults):
+        cells = _valid_cells()
+        for row, fault in faults.items():
+            cells[row] = fault
+        path, rows, got = self._read(tmp_path, mode, cells)
+        expected = _expected_fault(path, rows)
+        if expected is not None:
+            assert got == expected
+            return
+        want = np.array([float(cell.strip()) for cell in cells])
+        if mode == "grouped":
+            want = np.concatenate([want[0::2], want[1::2]])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["series", "grouped"])
+    def test_valid_column_skips_per_cell_scan(self, tmp_path, monkeypatch, mode):
+        def unexpected(*args):
+            raise AssertionError("per-cell scan on a valid column")
+
+        monkeypatch.setattr(cli, "_parse_cell", unexpected)
+        _, _, got = self._read(tmp_path, mode, _valid_cells())
+        assert isinstance(got, np.ndarray) and got.size == len(_valid_cells())
+
+    @pytest.mark.parametrize("mode", ["series", "grouped"])
+    def test_cells_the_bulk_parse_declines_are_read_per_cell(self, tmp_path, mode):
+        # strip() removes these, float() does not take them: the scan reads them
+        cells = [" 1.5", "2.5\x1c", "\u30003.5\u3000", "4.5"]
+        _, _, got = self._read(tmp_path, mode, cells)
+        want = [1.5, 2.5, 3.5, 4.5] if mode == "series" else [1.5, 3.5, 2.5, 4.5]
+        assert got.tolist() == want
 
 
 class TestTestCommand:

@@ -336,6 +336,29 @@ class TestReplicateKernel:
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-12)
 
+    def test_same_bytes_whatever_the_blas_thread_count(self):
+        # K = 60, B = 399: a product OpenBLAS splits over its threads when it may
+        calls = sharwb_mod._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get, put = calls
+        rng = np.random.default_rng(60)
+        y1 = sample(rng.standard_normal(2000))
+        y2 = sample(3.0 * rng.standard_normal(1500))
+        op1, op2 = _operator(y1, 60, 60), _operator(y2, 60, 60)
+        v1 = _draw_innovations(rng, (2, 60, 399), "normal")
+        v2 = _draw_innovations(rng, (2, 60, 399), "normal")
+        before = get()
+        got = []
+        try:
+            for n_threads in (1, 2, 4):
+                put(n_threads)
+                got.append(_replicate_stats(op1, op2, v1, v2).tobytes())
+                assert get() == n_threads  # restored after the products
+        finally:
+            put(before)
+        assert got[1] == got[0] and got[2] == got[0]
+
     def test_traced_peak_stays_small_at_large_T(self):
         # T = 20 000 per group, B = 399: the dense multiplier path held
         # several T x B matrices (over 300 MB); the operator needs a few MB

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import harmeans.simlab as simlab_mod
+import harmeans.ttests as ttests_mod
 from harmeans import basis
 from harmeans.errors import DomainError
 from harmeans.lrv import TimeSeriesSample, resolve_k, series_lrv
@@ -40,7 +41,7 @@ class TestEvaluate:
     def test_entries_equal_public_functions(self, k1, k2):
         y1, y2 = wfh_pair()
         result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
-        # separate samples, so no LRV is shared with evaluate through the memo
+        # separate samples, so the public functions share nothing with evaluate
         f1, f2 = wfh_pair()
         boot_report, boot_run = shar_wb_test(
             f1, f2, alpha=0.05, n_boot=49, seed=3, k1=k1, k2=k2
@@ -107,6 +108,27 @@ class TestEvaluate:
         assert calls == [(37,), (85,)]  # evaluate only reads the two spectra
         for y, group in zip((y1, y2), result.groups):
             assert series_lrv(y, group.k).omega == group.lrv.omega
+
+    @pytest.mark.parametrize(("k1", "k2"), [("auto", "auto"), (3, 5)])
+    def test_analytic_tests_reuse_the_group_lrvs(self, monkeypatch, k1, k2):
+        calls = {"series_lrv": 0, "two_sided_p": 0}
+        for module in (simlab_mod, ttests_mod):
+            for name in calls:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counting(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+        y1, y2 = wfh_pair()
+        result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
+        assert result.na == {}
+        # one LRV per group for the analytic tests; shar_wb_test's own
+        # normal-reference statistic takes one more per group, and a p-value
+        assert calls == {"series_lrv": 4, "two_sided_p": 6}
 
 
 class TestSimulateSeries:
