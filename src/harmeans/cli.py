@@ -68,7 +68,12 @@ def _read_rows(path: str) -> tuple[list[list[str]], Sequence[int]]:
             text = fh.read()
     except OSError as exc:
         raise IngestError(f"{path}: {exc.strerror or exc}") from exc
-    lines = text.splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from exc
+    # keep the line endings, so that a quoted cell keeps its line break
+    lines = text.splitlines(keepends=True)
     line_nos = range(1, len(lines) + 1)
     if not all(map(str.strip, lines)):
         line_nos = [no for no, ln in zip(line_nos, lines) if ln.strip()]
@@ -76,7 +81,7 @@ def _read_rows(path: str) -> tuple[list[list[str]], Sequence[int]]:
     if not line_nos:
         raise IngestError(f"{path}: file is empty")
     try:
-        dialect = csv.Sniffer().sniff("\n".join(lines[:20]), delimiters=",;\t")
+        dialect = csv.Sniffer().sniff("".join(lines[:20]), delimiters=",;\t")
         return _csv_rows(lines, line_nos, dialect)
     except csv.Error:
         # fall back to comma, then whitespace
@@ -324,7 +329,6 @@ def render_text(report: dict) -> str:
     ref_names = {
         "standard_normal": "N(0,1)",
         "student_t": "t",
-        "chi_square": "chisq",
         "bootstrap_empirical": "bootstrap",
     }
     for name in TEST_COLUMNS:

@@ -17,7 +17,11 @@ evaluation grid.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +31,57 @@ from .errors import DegenerateSampleError, DomainError
 from .statdist import chisq_sf
 
 _A_HAT_CAP = 0.97  # |AR(1) plug-in| cap; (1-A)^(-4) explodes near a unit root
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count calls of the OpenBLAS numpy links, or None."""
+    from numpy.linalg import _umath_linalg  # a compiled module linked to the BLAS
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    # numpy >= 2 wheels, numpy 1.x wheels, a system OpenBLAS
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _calling_thread_blas():
+    """Run numpy's OpenBLAS products on the calling thread only.
+
+    A threaded product wakes OpenBLAS's worker pool, whose threads then spin
+    for about 0.1 s.  When another core is busy, the product waits for a
+    worker to be scheduled (about 15 ms for a 60 x 120 by 120 x 399 product
+    that takes 0.2 ms on one thread) and the spinning workers take CPU from
+    the rest of the process.  One thread also makes the products, and so the
+    replicate statistics, independent of the machine's core count.  The
+    thread count is process-wide: the lock keeps concurrent callers from
+    restoring each other's setting.  Other BLAS libraries are left alone.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _BLAS_THREADS_LOCK:
+        n_threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(n_threads)
 
 
 @dataclass(frozen=True)
@@ -70,7 +125,8 @@ class TimeSeriesSample:
 
     def variance(self) -> float:
         """Unbiased sample variance (1/(T-1) normalization)."""
-        return float(self.residuals.dot(self.residuals) / (self.n - 1))
+        with _calling_thread_blas():
+            return float(self.residuals.dot(self.residuals) / (self.n - 1))
 
 
 @dataclass(frozen=True)
@@ -115,13 +171,14 @@ def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:
     u = sample.residuals
     if sample.n < 4:
         raise DomainError(f"AR(1) plug-in needs T >= 4, got T={sample.n}")
-    denom = float(u[:-1].dot(u[:-1]))
-    if denom <= 0.0:
-        raise DegenerateSampleError("residuals carry no variation")
-    a_hat = float(u[1:].dot(u[:-1])) / denom
-    a_hat = min(max(a_hat, -_A_HAT_CAP), _A_HAT_CAP)
-    innov = u[1:] - a_hat * u[:-1]
-    sigma_hat = float(innov.dot(innov)) / (sample.n - 1) / (1.0 - a_hat) ** 2
+    with _calling_thread_blas():
+        denom = float(u[:-1].dot(u[:-1]))
+        if denom <= 0.0:
+            raise DegenerateSampleError("residuals carry no variation")
+        a_hat = float(u[1:].dot(u[:-1])) / denom
+        a_hat = min(max(a_hat, -_A_HAT_CAP), _A_HAT_CAP)
+        innov = u[1:] - a_hat * u[:-1]
+        sigma_hat = float(innov.dot(innov)) / (sample.n - 1) / (1.0 - a_hat) ** 2
     return a_hat, sigma_hat
 
 
@@ -200,12 +257,13 @@ def ljung_box(sample: TimeSeriesSample, lags: int = 10) -> tuple[float, float]:
     if not 1 <= lags < t:
         raise DomainError(f"lags must lie in [1, T-1] = [1, {t - 1}], got {lags}")
     u = sample.residuals
-    energy = float(u.dot(u))
-    if energy <= 0.0:
-        raise DegenerateSampleError("residuals carry no variation")
-    q = 0.0
-    for k in range(1, lags + 1):
-        rho_k = float(u[k:].dot(u[:-k])) / energy
-        q += rho_k * rho_k / (t - k)
+    with _calling_thread_blas():
+        energy = float(u.dot(u))
+        if energy <= 0.0:
+            raise DegenerateSampleError("residuals carry no variation")
+        q = 0.0
+        for k in range(1, lags + 1):
+            rho_k = float(u[k:].dot(u[:-k])) / energy
+            q += rho_k * rho_k / (t - k)
     q *= t * (t + 2.0)
     return q, chisq_sf(q, float(lags))

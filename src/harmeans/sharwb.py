@@ -26,18 +26,14 @@ are empirical quantiles of the replicate statistics.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis
 from .errors import DegenerateReplicatesError, DomainError
-from .lrv import TimeSeriesSample
+from .lrv import TimeSeriesSample, _calling_thread_blas
 from .statdist import DistKind, RefDistribution
 from .ttests import NORMAL, TestReport, har_welch_t
 
@@ -134,57 +130,6 @@ def _operator(sample: TimeSeriesSample, k: int, k_star: int):
     a = basis.modulated_coefficients(sample.spectrum, k, k_star)
     a /= math.sqrt(sample.n * k_star)
     return w, a
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count calls of the OpenBLAS numpy links, or None."""
-    from numpy.linalg import _umath_linalg  # a compiled module linked to the BLAS
-
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
-        return None
-    # numpy >= 2 wheels, numpy 1.x wheels, a system OpenBLAS
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        get = getattr(lib, name.format("get"), None)
-        put = getattr(lib, name.format("set"), None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            put.argtypes, put.restype = (ctypes.c_int,), None
-            return get, put
-    return None
-
-
-_BLAS_THREADS_LOCK = threading.Lock()
-
-
-@contextlib.contextmanager
-def _calling_thread_blas():
-    """Run numpy's OpenBLAS products on the calling thread only.
-
-    A threaded product wakes OpenBLAS's worker pool, whose threads then spin
-    for about 0.1 s.  When another core is busy, the product waits for a
-    worker to be scheduled (about 15 ms for a 60 x 120 by 120 x 399 product
-    that takes 0.2 ms on one thread) and the spinning workers take CPU from
-    the rest of the process.  One thread also makes the products, and so the
-    replicate statistics, independent of the machine's core count.  The
-    thread count is process-wide: the lock keeps concurrent callers from
-    restoring each other's setting.  Other BLAS libraries are left alone.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    with _BLAS_THREADS_LOCK:
-        n_threads = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(n_threads)
 
 
 def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Distribution kernels: standard normal, Student-t with real-valued degrees
 of freedom, and chi-square.
 
-Everything is built on three self-contained primitives (log-gamma, the
-regularized incomplete gamma, and the regularized incomplete beta) so that
-p-values and critical values have a single, fully auditable correctness path
-with no external stats dependency.  Degrees of freedom are real numbers
-throughout; they are never rounded to integers, because the Welch-type
-adjusted df used by the robust tests is fractional by construction.
+The standard library supplies log-gamma (``math.lgamma``) and the normal
+tail (``math.erfc``); the regularized incomplete gamma and beta functions it
+lacks are written out here, so p-values and critical values need no external
+stats dependency.  Degrees of freedom are real numbers throughout; they are
+never rounded to integers, because the Welch-type adjusted df used by the
+robust tests is fractional by construction.
 """
 
 from __future__ import annotations
@@ -20,35 +20,12 @@ from .errors import DomainError
 _MACHEP = 2.220446049250313e-16
 _MAX_ITER = 500
 
-# Lanczos expansion, g = 7, 9 coefficients (~15 significant digits).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.9189385332046727
-
 
 def log_gamma(z: float) -> float:
-    """Natural log of |Gamma(z)| for z > 0, via the Lanczos expansion."""
+    """Natural log of Gamma(z) for z > 0."""
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        x += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(x)
+    return math.lgamma(z)
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -173,14 +150,12 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 def normal_cdf(x: float) -> float:
     """Standard normal CDF Phi(x).
 
-    Computed through the regularized upper incomplete gamma, so that
-    Phi(x) + Phi(-x) = 1 holds exactly in floating point.
+    Computed from the tail P(Z > |x|), so that Phi(x) + Phi(-x) = 1 holds
+    exactly in floating point.
     """
     if not math.isfinite(x):
         raise DomainError(f"normal_cdf requires finite x, got {x}")
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * reg_gamma_upper(0.5, 0.5 * x * x)  # P(Z > |x|)
+    tail = 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
     return 1.0 - tail if x > 0.0 else tail
 
 
@@ -270,7 +245,6 @@ def chisq_sf(x: float, df: float) -> float:
 class DistKind(Enum):
     STANDARD_NORMAL = "standard_normal"
     STUDENT_T = "student_t"
-    CHI_SQUARE = "chi_square"
     BOOTSTRAP_EMPIRICAL = "bootstrap_empirical"
 
 
@@ -282,8 +256,7 @@ class RefDistribution:
     df: float | None = None
 
     def __post_init__(self) -> None:
-        needs_df = self.kind in (DistKind.STUDENT_T, DistKind.CHI_SQUARE)
-        if needs_df:
+        if self.kind is DistKind.STUDENT_T:
             if self.df is None or not math.isfinite(self.df) or self.df <= 0.0:
                 raise DomainError(
                     f"{self.kind.value} requires df > 0, got {self.df}"
@@ -296,21 +269,13 @@ class RefDistribution:
             return normal_cdf(x)
         if self.kind is DistKind.STUDENT_T:
             return t_cdf(x, self.df)
-        if self.kind is DistKind.CHI_SQUARE:
-            return 1.0 - chisq_sf(x, self.df)
         raise DomainError("bootstrap reference has no analytic CDF")
-
-    def label(self) -> str:
-        if self.kind is DistKind.STANDARD_NORMAL:
-            return "N(0,1)"
-        if self.kind is DistKind.STUDENT_T:
-            return f"t({self.df:g})"
-        if self.kind is DistKind.CHI_SQUARE:
-            return f"chisq({self.df:g})"
-        return "bootstrap"
 
 
 def two_sided_p(statistic: float, ref: RefDistribution) -> float:
-    """Two-sided p-value 2 * min(F(stat), 1 - F(stat)) under `ref`."""
-    f = ref.cdf(statistic)
-    return 2.0 * min(f, 1.0 - f)
+    """Two-sided p-value 2 * F(-|stat|) under the symmetric `ref`.
+
+    Taken from the lower tail, so a large positive statistic keeps the digits
+    that 1 - F(stat) would round away, and p(stat) == p(-stat) exactly.
+    """
+    return 2.0 * ref.cdf(-abs(statistic))

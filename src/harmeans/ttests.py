@@ -86,14 +86,15 @@ def welch_t(
     """Welch's two-sample t-test with the Welch-Satterthwaite fractional df."""
     _validate_alpha(alpha)
     t1, t2 = y1.n, y2.n
-    v1 = y1.variance() / t1
-    v2 = y2.variance() / t2
+    s1_sq, s2_sq = y1.variance(), y2.variance()
+    v1 = s1_sq / t1
+    v2 = s2_sq / t2
     if v1 + v2 <= 0.0:
         raise DegenerateSampleError("both sample variances are zero")
     stat = (y1.mean - y2.mean) / math.sqrt(v1 + v2)
     df = (v1 + v2) ** 2 / (v1 * v1 / (t1 - 1) + v2 * v2 / (t2 - 1))
     ref = RefDistribution(DistKind.STUDENT_T, df=df)
-    detail = _detail(y1, y2, var1=y1.variance(), var2=y2.variance(), df=df)
+    detail = _detail(y1, y2, var1=s1_sq, var2=s2_sq, df=df)
     return _report("t1", stat, ref, alpha, detail)
 
 

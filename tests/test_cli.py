@@ -109,10 +109,20 @@ class TestReadSeries:
         assert str(exc.value) == f"{path}: row 5: non-numeric value 'abc'"
 
     def test_row_after_a_quoted_cell_across_lines(self, tmp_path):
+        # the quoted cell keeps its line break, so it is not read as 23.0
         path = write(tmp_path / "quoted.csv", 't,y\n1,"2\n3"\n4,5\n6,abc\n')
         with pytest.raises(IngestError) as exc:
             read_series(path, "y")
-        assert str(exc.value) == f"{path}: row 5: non-numeric value 'abc'"
+        assert str(exc.value) == f"{path}: row 2: non-numeric value '2\\n3'"
+
+    def test_row_after_a_quoted_note_across_lines(self, tmp_path):
+        # a multi-line cell in an unused column shifts the rows' line numbers
+        path = write(tmp_path / "note.csv", 't,y,note\n1,2.5,"a\nb"\n3,abc,c\n')
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "y")
+        assert str(exc.value) == f"{path}: row 4: non-numeric value 'abc'"
+        path = write(tmp_path / "fine.csv", 't,y,note\n1,2.5,"a\nb"\n3,4.5,c\n')
+        assert read_series(path, "y").tolist() == [2.5, 4.5]
 
     def test_missing_value_names_its_column(self, tmp_path):
         path = write(tmp_path / "wide.csv", "a,b,c\n1,2,3\n4,5,\n")
@@ -381,6 +391,16 @@ class TestTestCommand:
         code = main(["test", "--y1", str(tmp_path / "nope.csv"),
                      "--y2", str(tmp_path / "nope2.csv")])
         assert code == EXIT_INPUT
+
+    def test_non_utf8_file_exit_input(self, tmp_path, capsys):
+        good = write(tmp_path / "good.csv", "y\n1.0\n2.5\n3.0\n4.5\n5.0\n")
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("caf\u00e9\n1.0\n2.5\n3.0\n4.5\n".encode("latin-1"))
+        code = main(["test", "--y1", good, "--y2", str(bad)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text: byte 0xe9" in err
+        assert "internal error" not in err
 
     def test_short_group_exit_input(self, tmp_path, capsys):
         f1 = write(tmp_path / "s1.csv", "1.0\n2.0\n3.0\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmeans.lrv as lrv_mod
 import oracles
 from harmeans import basis
 from harmeans.errors import DegenerateSampleError, DomainError
@@ -313,3 +314,25 @@ def test_lrv_shift_scale_property(seed):
     base = series_lrv(sample(u), 6).omega
     moved = series_lrv(sample(2.0 * u - 7.0), 6).omega
     assert moved == pytest.approx(4.0 * base, rel=1e-11, abs=1e-12)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("n", [10_001, 20_001])
+    def test_same_bytes_whatever_the_blas_thread_count(self, n):
+        # above 10 000 elements OpenBLAS splits a dot product over its threads
+        calls = lrv_mod._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get, put = calls
+        rng = np.random.default_rng(n)
+        s = sample(rng.standard_normal(n))
+        before = get()
+        got = []
+        try:
+            for n_threads in (1, 2, 4):
+                put(n_threads)
+                got.append((s.variance(), ar1_plugin(s), ljung_box(s, 10)))
+                assert get() == n_threads  # restored after the products
+        finally:
+            put(before)
+        assert got[1] == got[0] and got[2] == got[0]

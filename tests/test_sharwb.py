@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import harmeans.lrv as lrv_mod
 import harmeans.sharwb as sharwb_mod
 import oracles
 from harmeans import basis
@@ -338,7 +339,7 @@ class TestReplicateKernel:
 
     def test_same_bytes_whatever_the_blas_thread_count(self):
         # K = 60, B = 399: a product OpenBLAS splits over its threads when it may
-        calls = sharwb_mod._openblas_threads()
+        calls = lrv_mod._openblas_threads()
         if calls is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         get, put = calls

@@ -234,3 +234,17 @@ class TestRefDistribution:
         p = two_sided_p(1.959964, ref)
         assert p == pytest.approx(0.05, abs=1e-6)
         assert two_sided_p(-1.959964, ref) == pytest.approx(p, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [0.5, 3.0, 6.0, 9.0, 12.0])
+    @pytest.mark.parametrize("df", [None, 30.0])
+    def test_two_sided_p_ignores_the_sign(self, x, df):
+        kind = DistKind.STANDARD_NORMAL if df is None else DistKind.STUDENT_T
+        ref = RefDistribution(kind, df=df)
+        p = two_sided_p(x, ref)
+        assert 0.0 < p < 1.0
+        assert p == two_sided_p(-x, ref)
+
+    def test_two_sided_p_keeps_a_far_tail(self):
+        # the value of the incomplete-gamma route, 0.0 from 1 - F(9)
+        p = two_sided_p(9.0, RefDistribution(DistKind.STANDARD_NORMAL))
+        assert p == pytest.approx(2.257176811907685e-19, rel=1e-12, abs=0.0)
