@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def dft(u: np.ndarray) -> np.ndarray:
@@ -57,18 +56,34 @@ def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndar
     For LRV frequency m and bootstrap frequency j, with c = 1/sqrt(2T):
     cos-cos is c Re[U(m-j) + U(m+j)], cos-sin is c Im[U(m-j) - U(m+j)],
     sin-cos is -c Im[U(m+j) + U(m-j)] and sin-sin is c Re[U(m-j) - U(m+j)].
-    The rows read U(m+j) and U(m-j) as windows of U on f = 1-k_star ..
-    m_top+k_star, so the only array of size k * k_star is the result.
+    U on f = 1-k_star .. m_top+k_star is gathered once into a (3, L) array
+    of c Re U, c Im U and -c Im U, the last so that sin-cos is one addition.
+    U(m+j) and U(m-j) are (m_top, k_star) views of its rows whose steps in
+    j are +1 and -1, so the only array of size k * k_star is the result.
     """
     n = spectrum.shape[0]
     m_top = (k + 1) // 2
     spec = spectrum[np.arange(1 - k_star, m_top + k_star + 1) % n]
     spec *= 1.0 / math.sqrt(2.0 * n)
+    parts = np.empty((3, spec.size))
+    parts[0] = spec.real
+    parts[1] = spec.imag
+    np.negative(spec.imag, out=parts[2])
+    step = parts.itemsize
+
+    def views(first, j_step):
+        # (m_top, k_star) views of each row, starting at index `first`
+        return (
+            np.ndarray((m_top, k_star), parts.dtype, parts,
+                       step * (row * spec.size + first), (step, j_step * step))
+            for row in range(3)
+        )
+
+    # U(m+j) sits at index m+j+k_star-1 of a row and U(m-j) at m-j+k_star-1
+    re_p, im_p, nim_p = views(k_star + 1, 1)
+    re_m, im_m, nim_m = views(k_star - 1, -1)
     out = np.empty((k, 2 * k_star))
     cos_rows, sin_rows = out[0::2], out[1::2]
-    win = sliding_window_view(np.stack([spec.real, spec.imag, -spec.imag]), k_star, axis=1)
-    re_p, im_p, nim_p = win[:, k_star + 1 : k_star + 1 + m_top]
-    re_m, im_m, nim_m = win[:, :m_top, ::-1]
     h = k // 2
     np.add(re_m, re_p, out=cos_rows[:, :k_star])
     np.subtract(im_m, im_p, out=cos_rows[:, k_star:])

@@ -80,14 +80,16 @@ def _read_rows(path: str) -> tuple[list[list[str]], Sequence[int]]:
         lines = [lines[no - 1] for no in line_nos]
     if not line_nos:
         raise IngestError(f"{path}: file is empty")
-    try:
-        dialect = csv.Sniffer().sniff("".join(lines[:20]), delimiters=",;\t")
-        return _csv_rows(lines, line_nos, dialect)
-    except csv.Error:
-        # fall back to comma, then whitespace
-        if "," in lines[0]:
-            return _csv_rows(lines, line_nos)
-        return [ln.split() for ln in lines], line_nos
+    sample = "".join(lines[:20])
+    if any(d in sample for d in ",;\t"):
+        try:
+            return _csv_rows(lines, line_nos, csv.Sniffer().sniff(sample, delimiters=",;\t"))
+        except csv.Error:
+            # fall back to comma, then whitespace
+            if "," in lines[0]:
+                return _csv_rows(lines, line_nos)
+    # no delimiter in the sample, so the sniff could only fail
+    return [ln.split() for ln in lines], line_nos
 
 
 def _is_number(cell: str) -> bool:

@@ -86,18 +86,22 @@ def _calling_thread_blas():
 
 @dataclass(frozen=True)
 class TimeSeriesSample:
-    """One group's observations with cached mean, demeaned residuals and
-    their read-only transform ``spectrum = basis.dft(residuals)``."""
+    """One group's observations with cached mean, demeaned residuals, their
+    read-only transform ``spectrum = basis.dft(residuals)`` and their sum of
+    squares, which ``variance()`` reads."""
 
     values: np.ndarray
     mean: float
     residuals: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _energy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spectrum = basis.dft(self.residuals)
         spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
+        with _calling_thread_blas():
+            object.__setattr__(self, "_energy", self.residuals.dot(self.residuals))
 
     @classmethod
     def from_values(cls, values) -> "TimeSeriesSample":
@@ -125,8 +129,7 @@ class TimeSeriesSample:
 
     def variance(self) -> float:
         """Unbiased sample variance (1/(T-1) normalization)."""
-        with _calling_thread_blas():
-            return float(self.residuals.dot(self.residuals) / (self.n - 1))
+        return float(self._energy / (self.n - 1))
 
 
 @dataclass(frozen=True)

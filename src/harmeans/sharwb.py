@@ -136,8 +136,11 @@ def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Studentized replicate statistics for innovation draws.
 
     v_j has shape (2, K*_j) for a single replicate or (2, K*_j, B) for a
-    batch.  Degenerate replicates (zero bootstrap LRV in both groups) come
-    back as NaN for the caller to handle.
+    batch.  Per group the kernel is two products on the calling thread,
+    z = A v and w.v, and the replicate LRV is the column mean of z^2 (the
+    add-reduce and divide ``np.mean`` would run).  Degenerate replicates
+    (zero bootstrap LRV in both groups) come back as NaN for the caller to
+    handle; only then does the kernel mask the division.
     """
     means = []
     omegas = []
@@ -146,13 +149,12 @@ def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
             v = v.reshape(w.size, *v.shape[2:])
             z = a.dot(v)
             means.append(w.dot(v))
-            omegas.append(np.mean(z * z, axis=0))
+            omegas.append((z * z).sum(axis=0) / z.shape[0])
     denom_sq = omegas[0] + omegas[1]
+    if np.all(denom_sq > 0.0):
+        return (means[0] - means[1]) / np.sqrt(denom_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stats = np.where(
-            denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan
-        )
-    return stats
+        return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)
 
 
 def _empirical_quantile(sorted_stats: np.ndarray, p: float) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -182,48 +183,51 @@ def simulate_series(
     sigma: float,
     mu: float,
     error_law: str,
-    rng: np.random.Generator,
-) -> TimeSeriesSample:
-    """Simulate one stationary AR(1) sample of length n."""
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> TimeSeriesSample | list[TimeSeriesSample]:
+    """Simulate stationary AR(1) samples of length n.
+
+    ``rng`` is one ``np.random.Generator``, which gives one sample, or a
+    sequence of them, which gives a list with one sample per generator.
+    Each generator's n+1 innovations become one column of an (n+1) x R
+    block, and the recursion runs once over t on whole rows, so every
+    column is the sample that generator alone would give.
+    """
     if not abs(rho) < 1.0:
         raise DomainError(f"|rho| must be < 1, got {rho}")
     if error_law not in (NORMAL_ERRORS, CHISQ1_ERRORS):
         raise DomainError(f"unknown error law {error_law!r}")
-    v = _innovations(rng, n + 1, error_law)
-    w = np.empty(n + 1, dtype=np.float64)
-    w[0] = v[0]  # stationary start: unit variance, like every later w_t
-    scale = math.sqrt(1.0 - rho * rho)
-    for t in range(1, n + 1):
-        w[t] = rho * w[t - 1] + scale * v[t]
-    return TimeSeriesSample.from_values(mu + sigma * w[1:])
+    single = isinstance(rng, np.random.Generator)
+    rngs = (rng,) if single else rng
+    w = np.empty((n + 1, len(rngs)), dtype=np.float64)
+    for j, gen in enumerate(rngs):
+        w[:, j] = _innovations(gen, n + 1, error_law)
+    # w_0 stays the first draw: a stationary start with unit variance, like
+    # every later w_t; the rows below hold scale * v_t until their turn
+    w[1:] *= math.sqrt(1.0 - rho * rho)
+    rows = iter(w)
+    prev = next(rows)
+    for row in rows:
+        row += rho * prev
+        prev = row
+    samples = [TimeSeriesSample.from_values(y) for y in (mu + sigma * w[1:]).T]
+    return samples[0] if single else samples
 
 
-def _run_replication(scenario: Scenario, rep_seed: np.random.SeedSequence):
-    """Reject flags of the six tests, or None when any test is NA."""
-    ss_y1, ss_y2, ss_boot = rep_seed.spawn(3)
-    y1, y2 = (
-        simulate_series(n, scenario.rho, sigma, mu, scenario.error_law, np.random.default_rng(ss))
-        for n, sigma, mu, ss in (
-            (scenario.t1, scenario.sigma1, scenario.mu1, ss_y1),
-            (scenario.t2, scenario.sigma2, scenario.mu2, ss_y2),
-        )
-    )
-    result = evaluate(
-        y1,
-        y2,
-        k1="auto",
-        k2="auto",
-        alpha=scenario.alpha,
-        n_boot=scenario.n_boot,
-        seed=int(ss_boot.generate_state(1, np.uint64)[0]),
-    )
-    if result.na:
-        return None
-    return {name: result.reports[name].reject for name in TEST_COLUMNS}
+# Most doubles in one simulated block of replications, (T+1) x R per group.
+# A cell's replications are simulated in chunks of at most this many, so
+# memory stays flat in n_mc at large T; every preset cell (T <= 400,
+# n_mc <= 2000) is one chunk.
+_MAX_BLOCK_DOUBLES = 2**20
 
 
 def run_cell(scenario: Scenario) -> CellResult:
     """Monte Carlo rejection rates of all six tests for one scenario.
+
+    Replication r draws its two samples and its bootstrap seed from the
+    r-th child of ``SeedSequence(seed)``.  Each chunk of replications is
+    simulated with one ``simulate_series`` call per group, then evaluated
+    one replication at a time.
 
     Replications where any test is NA (a degenerate sample or bootstrap)
     are excluded from the rate denominators but counted in ``n_excluded``;
@@ -234,14 +238,35 @@ def run_cell(scenario: Scenario) -> CellResult:
     completed = 0
     excluded = 0
     rep_seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.n_mc)
-    for rep_seed in rep_seeds:
-        rejects = _run_replication(scenario, rep_seed)
-        if rejects is None:
-            excluded += 1
-            continue
-        completed += 1
-        for name in TEST_COLUMNS:
-            counts[name] += bool(rejects[name])
+    chunk = max(1, _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1))
+    for lo in range(0, scenario.n_mc, chunk):
+        ss_y1, ss_y2, ss_boot = zip(*(s.spawn(3) for s in rep_seeds[lo : lo + chunk]))
+        y1s, y2s = (
+            simulate_series(
+                n, scenario.rho, sigma, mu, scenario.error_law,
+                [np.random.default_rng(ss) for ss in seeds],
+            )
+            for n, sigma, mu, seeds in (
+                (scenario.t1, scenario.sigma1, scenario.mu1, ss_y1),
+                (scenario.t2, scenario.sigma2, scenario.mu2, ss_y2),
+            )
+        )
+        for y1, y2, boot_seed in zip(y1s, y2s, ss_boot):
+            result = evaluate(
+                y1,
+                y2,
+                k1="auto",
+                k2="auto",
+                alpha=scenario.alpha,
+                n_boot=scenario.n_boot,
+                seed=int(boot_seed.generate_state(1, np.uint64)[0]),
+            )
+            if result.na:
+                excluded += 1
+                continue
+            completed += 1
+            for name in TEST_COLUMNS:
+                counts[name] += bool(result.reports[name].reject)
     if completed == 0:
         raise DegenerateSampleError("every replication was degenerate")
     rates = {name: counts[name] / completed for name in TEST_COLUMNS}

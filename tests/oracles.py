@@ -243,3 +243,55 @@ def replicate_stats(y1, y2, k1: int, k2: int, v1, v2) -> np.ndarray:
     denom_sq = omegas[0] + omegas[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)
+
+
+# Earlier forms of two package kernels, kept as byte-exact references for
+# their faster replacements.
+
+
+def ar1_paths(n: int, rho: float, sigma: float, mu: float, v: np.ndarray) -> np.ndarray:
+    """mu + sigma * w[1:] of the stationary AR(1) recursion on the n+1
+    innovations v, one scalar step at a time."""
+    w = np.empty(n + 1, dtype=np.float64)
+    w[0] = v[0]
+    scale = math.sqrt(1.0 - rho * rho)
+    for t in range(1, n + 1):
+        w[t] = rho * w[t - 1] + scale * v[t]
+    return mu + sigma * w[1:]
+
+
+def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndarray:
+    """``basis.modulated_coefficients`` read through ``sliding_window_view``
+    on a stacked (real, imag, -imag) copy of U."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n = spectrum.shape[0]
+    m_top = (k + 1) // 2
+    spec = spectrum[np.arange(1 - k_star, m_top + k_star + 1) % n]
+    spec *= 1.0 / math.sqrt(2.0 * n)
+    out = np.empty((k, 2 * k_star))
+    cos_rows, sin_rows = out[0::2], out[1::2]
+    win = sliding_window_view(np.stack([spec.real, spec.imag, -spec.imag]), k_star, axis=1)
+    re_p, im_p, nim_p = win[:, k_star + 1 : k_star + 1 + m_top]
+    re_m, im_m, nim_m = win[:, :m_top, ::-1]
+    h = k // 2
+    np.add(re_m, re_p, out=cos_rows[:, :k_star])
+    np.subtract(im_m, im_p, out=cos_rows[:, k_star:])
+    np.add(nim_p[:h], nim_m[:h], out=sin_rows[:, :k_star])
+    np.subtract(re_m[:h], re_p[:h], out=sin_rows[:, k_star:])
+    return out
+
+
+def replicate_kernel(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``sharwb._replicate_stats`` with ``np.mean`` for the replicate LRVs
+    and the division always masked by ``np.where``."""
+    means = []
+    omegas = []
+    for (w, a), v in ((op1, v1), (op2, v2)):
+        v = v.reshape(w.size, *v.shape[2:])
+        z = a.dot(v)
+        means.append(w.dot(v))
+        omegas.append(np.mean(z * z, axis=0))
+    denom_sq = omegas[0] + omegas[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)

@@ -219,6 +219,19 @@ class TestBootstrapTransforms:
                 assert got.shape == (k, 2 * k_star)
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("n", [8, 9, 30, 31, 200, 201, 10_000])
+    def test_modulated_coefficients_same_bytes_as_window_form(self, n):
+        # k_star = n // 2 reaches the Nyquist bin when n is even; K = K* =
+        # 5000 at n = 10 000 is left out (two 400 MB matrices)
+        spectrum = basis.dft(np.random.default_rng(n).standard_normal(n))
+        for k in sorted({kk for kk in (1, 2, 3, 12, n // 2) if kk <= n // 2}):
+            for k_star in sorted({1, k, n // 2}):
+                if k * k_star > 2**24:
+                    continue
+                got = basis.modulated_coefficients(spectrum, k, k_star)
+                want = oracles.modulated_coefficients(spectrum, k, k_star)
+                assert got.tobytes() == want.tobytes(), (k, k_star)
+
     @pytest.mark.parametrize("n", [8, 9, 30, 31, 200, 201])
     def test_cos_sin_series_matches_dense_tables(self, n):
         # k_star = n // 2 covers the Nyquist bin when n is even

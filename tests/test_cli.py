@@ -1,5 +1,6 @@
 """Command-line interface: ingestion, reports, exit codes, simulate artifacts."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -129,6 +130,66 @@ class TestReadSeries:
         with pytest.raises(IngestError) as exc:
             read_series(path, "c")
         assert str(exc.value) == f"{path}: row 3: missing value in column 2"
+
+
+class TestSniff:
+    @pytest.fixture()
+    def sniffs(self, monkeypatch):
+        calls = []
+        original = csv.Sniffer.sniff
+
+        def counting(self, sample, delimiters=None):
+            calls.append(sample)
+            return original(self, sample, delimiters)
+
+        monkeypatch.setattr(csv.Sniffer, "sniff", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.5\n2.5\n3.5\n",
+            "value\n1.5\n\n2.5\n",
+            '"value"\n"1.5"\n2.5\n',
+            "1.5 7\n2.5 8\n",
+            "value\n" + "".join(f"{i}.25\n" for i in range(40)) + "x,y\n",
+        ],
+    )
+    def test_sample_without_a_delimiter_is_split_on_whitespace(self, tmp_path, sniffs, text):
+        # the sniff could only fail on such a sample, and then the rows
+        # were the whitespace split; they still are, without the sniff
+        lines = [ln for ln in text.splitlines(keepends=True) if ln.strip()]
+        with pytest.raises(csv.Error):
+            csv.Sniffer().sniff("".join(lines[:20]), delimiters=",;\t")
+        sniffs.clear()
+        rows, line_nos = cli._read_rows(write(tmp_path / "one.csv", text))
+        assert sniffs == []
+        assert rows == [ln.split() for ln in lines]
+        assert list(line_nos) == [
+            no for no, ln in enumerate(text.splitlines(), 1) if ln.strip()
+        ]
+
+    def test_comma_file_is_still_sniffed(self, tmp_path, sniffs):
+        path = write(tmp_path / "two.csv", "date,y\n1,10.0\n2,11.0\n")
+        assert read_series(path, "y").tolist() == [10.0, 11.0]
+        assert sniffs == ["date,y\n1,10.0\n2,11.0\n"]
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("value\n", "contains a header but no data rows"),
+            ("\n \n", "file is empty"),
+            ("value\n1.0\n\noops\n", "row 4: non-numeric value 'oops'"),
+            ("1.0\n1_000\n", "row 2: non-numeric value '1_000'"),
+            ("1.0\nnan\n", "row 2: non-finite value 'nan'"),
+        ],
+    )
+    def test_one_column_messages_unchanged(self, tmp_path, sniffs, text, message):
+        path = write(tmp_path / "one.csv", text)
+        with pytest.raises(IngestError) as exc:
+            read_series(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert sniffs == []
 
 
 class TestReadGrouped:

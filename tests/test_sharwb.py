@@ -337,6 +337,25 @@ class TestReplicateKernel:
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-12)
 
+    @pytest.mark.parametrize("k", [1, 4, 30])
+    def test_same_bytes_as_mean_and_where_form(self, k):
+        rng = np.random.default_rng(k)
+        y1 = sample(rng.standard_normal(80))
+        y2 = sample(rng.standard_normal(64))
+        op1, op2 = _operator(y1, k, k), _operator(y2, k, k)
+        v1 = _draw_innovations(rng, (2, k, 49), "normal")
+        v2 = _draw_innovations(rng, (2, k, 49), "normal")
+        cases = [(v1, v2), (v1[..., 0], v2[..., 0])]
+        v1_hole, v2_hole = v1.copy(), v2.copy()
+        v1_hole[..., 7] = v2_hole[..., 7] = 0.0  # one degenerate replicate
+        cases += [(v1_hole, v2_hole), (v1_hole[..., 7], v2_hole[..., 7])]
+        for a, b in cases:
+            got = np.asarray(_replicate_stats(op1, op2, a, b))
+            want = oracles.replicate_kernel(op1, op2, a, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(got)
+
     def test_same_bytes_whatever_the_blas_thread_count(self):
         # K = 60, B = 399: a product OpenBLAS splits over its threads when it may
         calls = lrv_mod._openblas_threads()

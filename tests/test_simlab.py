@@ -2,13 +2,16 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import harmeans.lrv as lrv_mod
 import harmeans.simlab as simlab_mod
 import harmeans.ttests as ttests_mod
+import oracles
 from harmeans import basis
 from harmeans.errors import DomainError
 from harmeans.lrv import TimeSeriesSample, resolve_k, series_lrv
@@ -130,6 +133,25 @@ class TestEvaluate:
         # normal-reference statistic takes one more per group, and a p-value
         assert calls == {"series_lrv": 4, "two_sided_p": 6}
 
+    def test_variance_taken_once_per_group(self, monkeypatch):
+        # with explicit K no AR(1) plug-in runs, so every residual product
+        # under lrv's BLAS guard is a sum of squares for a variance
+        entries = []
+        original = lrv_mod._calling_thread_blas
+
+        def counting():
+            entries.append(1)
+            return original()
+
+        monkeypatch.setattr(lrv_mod, "_calling_thread_blas", counting)
+        y1, y2 = wfh_pair()
+        result = evaluate(y1, y2, k1=3, k2=5, alpha=0.05, n_boot=49, seed=3)
+        assert len(entries) == 2
+        for name in ("t0", "t1"):
+            detail = result.reports[name].detail
+            assert (detail["var1"], detail["var2"]) == (y1.variance(), y2.variance())
+        assert len(entries) == 2  # variance() reads the stored sum of squares
+
 
 class TestSimulateSeries:
     def test_iid_normal_variance(self):
@@ -170,6 +192,29 @@ class TestSimulateSeries:
         rng = np.random.default_rng(4)
         with pytest.raises(DomainError):
             simulate_series(50, 0.0, 1.0, 0.0, "cauchy", rng)
+
+    @pytest.mark.parametrize("law", ["normal", "chisq1"])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [4, 30, 201])
+    @pytest.mark.parametrize("n_gen", [1, 7])
+    def test_batch_columns_match_scalar_recursion(self, law, rho, n, n_gen):
+        seeds = np.random.SeedSequence(n).spawn(n_gen)
+        got = simulate_series(
+            n, rho, 1.7, -2.5, law, [np.random.default_rng(ss) for ss in seeds]
+        )
+        assert len(got) == n_gen
+        for sample, ss in zip(got, seeds):
+            v = simlab_mod._innovations(np.random.default_rng(ss), n + 1, law)
+            want = oracles.ar1_paths(n, rho, 1.7, -2.5, v)
+            assert sample.values.tobytes() == want.tobytes()
+
+    def test_single_generator_is_a_batch_of_one(self):
+        one = simulate_series(50, 0.5, 2.0, 1.0, "normal", np.random.default_rng(8))
+        (batch,) = simulate_series(50, 0.5, 2.0, 1.0, "normal", [np.random.default_rng(8)])
+        assert isinstance(one, TimeSeriesSample)
+        assert one.values.tobytes() == batch.values.tobytes()
+        assert one.mean == batch.mean
+        assert one.residuals.tobytes() == batch.residuals.tobytes()
 
 
 class TestScenario:
@@ -213,21 +258,56 @@ class TestRunCell:
         assert res.n_excluded == 0
         assert res.n_completed == FAST["n_mc"]
 
+    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        sc = Scenario(t1=40, t2=36, rho=0.3, seed=11, **FAST)
+        whole = run_cell(sc)
+        calls = []
+        original = simlab_mod.simulate_series
+
+        def counting(n, rho, sigma, mu, law, rngs):
+            calls.append(len(rngs))
+            return original(n, rho, sigma, mu, law, rngs)
+
+        monkeypatch.setattr(simlab_mod, "simulate_series", counting)
+        for per_chunk in (1, 3, FAST["n_mc"]):
+            calls.clear()
+            monkeypatch.setattr(simlab_mod, "_MAX_BLOCK_DOUBLES", 41 * per_chunk)
+            assert run_cell(sc) == whole
+            sizes = [per_chunk] * (FAST["n_mc"] // per_chunk)
+            sizes += [FAST["n_mc"] % per_chunk] if FAST["n_mc"] % per_chunk else []
+            assert calls == [size for size in sizes for _ in range(2)]
+
+    def test_memory_flat_in_n_mc_once_chunked(self, monkeypatch):
+        # three replications of T = 2000 per chunk: the chunk's samples are
+        # most of the peak, and quadrupling n_mc adds only its seeds
+        monkeypatch.setattr(simlab_mod, "_MAX_BLOCK_DOUBLES", 3 * 2001)
+        peaks = []
+        for n_mc in (1, 8, 32):  # the first run fills numpy's FFT caches
+            sc = Scenario(t1=2000, t2=2000, rho=0.5, seed=3, n_mc=n_mc, n_boot=19)
+            tracemalloc.start()
+            try:
+                run_cell(sc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.1 * peaks[1], peaks
+
     def test_replication_with_any_na_is_excluded(self, monkeypatch):
         # a constant first group leaves only t1_har NA (zero LRV, no adjusted
         # df); that alone excludes the replication
         original = simlab_mod.simulate_series
         seen = []
 
-        def first_group_constant_once(n, rho, sigma, mu, law, rng):
-            seen.append(n)
+        def first_sample_constant_once(n, rho, sigma, mu, law, rngs):
+            seen.append((n, len(rngs)))
+            samples = original(n, rho, sigma, mu, law, rngs)
             if len(seen) == 1:
-                return TimeSeriesSample.from_values([mu] * n)
-            return original(n, rho, sigma, mu, law, rng)
+                samples[0] = TimeSeriesSample.from_values([mu] * n)
+            return samples
 
-        monkeypatch.setattr(simlab_mod, "simulate_series", first_group_constant_once)
+        monkeypatch.setattr(simlab_mod, "simulate_series", first_sample_constant_once)
         res = run_cell(Scenario(t1=30, t2=31, rho=0.0, seed=5, **FAST))
-        assert seen[0] == 30
+        assert seen == [(30, FAST["n_mc"]), (31, FAST["n_mc"])]
         assert res.n_excluded == 1
         assert res.n_completed == FAST["n_mc"] - 1
 
