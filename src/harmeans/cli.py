@@ -104,22 +104,30 @@ def _is_number(cell: str) -> bool:
 
 
 def _split_header(
-    rows: list[list[str]], line_nos: Sequence[int], path: str
+    rows: list[list[str]], line_nos: Sequence[int], path: str, label_idx=None
 ) -> tuple[list[str] | None, list[list[str]], Sequence[int]]:
     """Detect an optional header row; returns (header, data_rows, their line numbers)."""
     first = [cell.strip() for cell in rows[0]]
-    if any(not _is_number(cell) for cell in first if cell != ""):
+    # a group label is text in a data row too, so its column cannot mark a header
+    if any(not _is_number(c) for i, c in enumerate(first) if c != "" and i != label_idx):
         if len(rows) == 1:
             raise IngestError(f"{path}: contains a header but no data rows")
         return first, rows[1:], line_nos[1:]
     return None, rows, line_nos
 
 
+def _as_index(selector) -> int | None:
+    """The column index a selector names, or None for a column name."""
+    if isinstance(selector, int) or (isinstance(selector, str) and selector.lstrip("-").isdigit()):
+        return int(selector)
+    return None
+
+
 def _column_index(selector, header: list[str] | None, width: int, path: str) -> int:
     if selector is None:
         return 0
-    if isinstance(selector, int) or (isinstance(selector, str) and selector.lstrip("-").isdigit()):
-        idx = int(selector)
+    idx = _as_index(selector)
+    if idx is not None:
         if not 0 <= idx < width:
             raise IngestError(f"{path}: column index {idx} out of range (width {width})")
         return idx
@@ -181,7 +189,7 @@ def read_series(path: str, column=None) -> np.ndarray:
 def read_grouped(path: str, group_col, value_col) -> tuple[np.ndarray, np.ndarray]:
     """Split one file into two series by a group column, keeping row order."""
     rows, line_nos = _read_rows(path)
-    header, data, line_nos = _split_header(rows, line_nos, path)
+    header, data, line_nos = _split_header(rows, line_nos, path, _as_index(group_col))
     width = max(map(len, data))
     g_idx = _column_index(group_col, header, width, path)
     v_idx = _column_index(value_col, header, width, path)
@@ -454,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="basis count for group 1 (integer or 'auto')")
     p_test.add_argument("--k2", type=_k_value, default="auto",
                         help="basis count for group 2 (integer or 'auto')")
-    p_test.add_argument("--k-auto", action="store_true",
-                        help="force data-driven basis counts for both groups")
     p_test.add_argument("--lb-lag", type=int, default=10,
                         help="Ljung-Box lag (default 10)")
     p_test.add_argument("--format", choices=("text", "json"), default="text")
@@ -485,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "k_auto", False):
-        args.k1 = "auto"
-        args.k2 = "auto"
     try:
         return args.func(args)
     except (IngestError, FileNotFoundError, DomainError) as exc:

@@ -97,11 +97,13 @@ class TimeSeriesSample:
     _energy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        with _calling_thread_blas(), np.errstate(over="ignore"):
+            object.__setattr__(self, "_energy", self.residuals.dot(self.residuals))
+        if not math.isfinite(self._energy):
+            raise DomainError("sample values too large: residual sum of squares is not finite")
         spectrum = basis.dft(self.residuals)
         spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
-        with _calling_thread_blas():
-            object.__setattr__(self, "_energy", self.residuals.dot(self.residuals))
 
     @classmethod
     def from_values(cls, values) -> "TimeSeriesSample":
@@ -260,10 +262,10 @@ def ljung_box(sample: TimeSeriesSample, lags: int = 10) -> tuple[float, float]:
     if not 1 <= lags < t:
         raise DomainError(f"lags must lie in [1, T-1] = [1, {t - 1}], got {lags}")
     u = sample.residuals
+    energy = float(sample._energy)
+    if energy <= 0.0:
+        raise DegenerateSampleError("residuals carry no variation")
     with _calling_thread_blas():
-        energy = float(u.dot(u))
-        if energy <= 0.0:
-            raise DegenerateSampleError("residuals carry no variation")
         q = 0.0
         for k in range(1, lags + 1):
             rho_k = float(u[k:].dot(u[:-k])) / energy

@@ -69,13 +69,6 @@ class BootstrapRun:
     n_redrawn: int = 0
 
 
-def _check_k_star(n: int, k_star: int) -> None:
-    if not 1 <= k_star <= n // 2:
-        raise DomainError(
-            f"k_star must lie in [1, {n // 2}] for T={n}, got {k_star}"
-        )
-
-
 def _draw_innovations(rng: np.random.Generator, shape, law: str) -> np.ndarray:
     if law == NORMAL_INNOVATIONS:
         return rng.standard_normal(shape)
@@ -88,34 +81,13 @@ def gen_eta(
     n: int, k_star: int, rng: np.random.Generator, law: str = NORMAL_INNOVATIONS
 ) -> EtaDraw:
     """Draw one dependent multiplier vector of length n."""
-    _check_k_star(n, k_star)
+    if not 1 <= k_star <= n // 2:
+        raise DomainError(
+            f"k_star must lie in [1, {n // 2}] for T={n}, got {k_star}"
+        )
     v = _draw_innovations(rng, (2, k_star), law)
     values = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)
     return EtaDraw(values=values, k_star=k_star, law=law)
-
-
-def eta_autocov(n: int, k_star: int, lag: int) -> float:
-    """Design covariance Cov(eta_t, eta_{t-lag}): the closed cosine sum."""
-    _check_k_star(n, k_star)
-    ells = np.arange(1, k_star + 1, dtype=np.float64)
-    return float(np.mean(np.cos(2.0 * np.pi * ells * lag / n)))
-
-
-def bootstrap_lrv_closed_form(residuals, k_star: int) -> float:
-    """Exact conditional variance of n^{-1/2} sum_t u_t eta_t given the data.
-
-    Equals K*^{-1} sum_l (c_l^2 + s_l^2), where c_l and s_l are the scaled
-    cosine and sine sums of the residuals, Re U(l)/sqrt(n) and
-    -Im U(l)/sqrt(n); nonnegative by construction.  The O(T^2) double sum
-    over the multiplier covariances collapses to these K* frequencies of
-    one transform.
-    """
-    u = np.asarray(residuals, dtype=np.float64)
-    if u.ndim != 1 or u.size < 2:
-        raise DomainError("residuals must be a vector of length >= 2")
-    _check_k_star(u.size, k_star)
-    cos_sums, sin_sums = basis.cos_sin_sums(basis.dft(u), k_star)
-    return float(np.sum(cos_sums * cos_sums + sin_sums * sin_sums) / u.size / k_star)
 
 
 def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:

@@ -4,7 +4,9 @@ Everything here is deliberately built on different machinery than the
 package: densities use math.lgamma from the standard library, CDFs come
 from tanh-sinh quadrature of the densities, quantiles from plain bisection
 on the quadrature CDF, and the incomplete gamma check uses a separately
-written series/continued-fraction pair.
+written series/continued-fraction pair.  The last two sections differ:
+earlier forms of package kernels, kept as byte-exact references, and the
+bootstrap multipliers' moment identities, read off the package's transform.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from harmeans import basis
+from harmeans.errors import DomainError
+from harmeans.lrv import _calling_thread_blas
 
 # tanh-sinh rule on (-1, 1): x = tanh((pi/2) sinh(u)).  Nodes are stored as
 # distances from the endpoints (1 - |x| computed stably), so no node ever
@@ -245,7 +251,7 @@ def replicate_stats(y1, y2, k1: int, k2: int, v1, v2) -> np.ndarray:
         return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)
 
 
-# Earlier forms of two package kernels, kept as byte-exact references for
+# Earlier forms of package kernels, kept as byte-exact references for
 # their faster replacements.
 
 
@@ -295,3 +301,52 @@ def replicate_kernel(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     denom_sq = omegas[0] + omegas[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)
+
+
+def ljung_box_q(sample, lags: int) -> float:
+    """``lrv.ljung_box``'s Q with the residuals' energy taken again, as u.u,
+    instead of read from the sample."""
+    u = sample.residuals
+    t = u.size
+    with _calling_thread_blas():
+        energy = float(u.dot(u))
+        q = 0.0
+        for k in range(1, lags + 1):
+            rho_k = float(u[k:].dot(u[:-k])) / energy
+            q += rho_k * rho_k / (t - k)
+    return q * (t * (t + 2.0))
+
+
+# Moment identities of the bootstrap multipliers: the design autocovariance
+# of eta and the closed form of the bootstrap LRV given the data.
+
+
+def _check_k_star(n: int, k_star: int) -> None:
+    if not 1 <= k_star <= n // 2:
+        raise DomainError(
+            f"k_star must lie in [1, {n // 2}] for T={n}, got {k_star}"
+        )
+
+
+def eta_autocov(n: int, k_star: int, lag: int) -> float:
+    """Design covariance Cov(eta_t, eta_{t-lag}): the closed cosine sum."""
+    _check_k_star(n, k_star)
+    ells = np.arange(1, k_star + 1, dtype=np.float64)
+    return float(np.mean(np.cos(2.0 * np.pi * ells * lag / n)))
+
+
+def bootstrap_lrv_closed_form(residuals, k_star: int) -> float:
+    """Exact conditional variance of n^{-1/2} sum_t u_t eta_t given the data.
+
+    Equals K*^{-1} sum_l (c_l^2 + s_l^2), where c_l and s_l are the scaled
+    cosine and sine sums of the residuals, Re U(l)/sqrt(n) and
+    -Im U(l)/sqrt(n); nonnegative by construction.  The O(T^2) double sum
+    over the multiplier covariances collapses to these K* frequencies of
+    one transform.
+    """
+    u = np.asarray(residuals, dtype=np.float64)
+    if u.ndim != 1 or u.size < 2:
+        raise DomainError("residuals must be a vector of length >= 2")
+    _check_k_star(u.size, k_star)
+    cos_sums, sin_sums = basis.cos_sin_sums(basis.dft(u), k_star)
+    return float(np.sum(cos_sums * cos_sums + sin_sums * sin_sums) / u.size / k_star)

@@ -17,10 +17,10 @@ from conftest import record_criterion
 import oracles
 from harmeans import basis
 from harmeans.lrv import TimeSeriesSample, _curvature_b, select_k
-from harmeans.sharwb import bootstrap_lrv_closed_form, eta_autocov
 from harmeans.simlab import Scenario, run_cell, simulate_series
 from harmeans.statdist import chisq_sf, t_cdf, t_quantile
 from harmeans.ttests import har_pooled_t, har_welch_t, k_adf
+from oracles import bootstrap_lrv_closed_form, eta_autocov
 
 SEED = 1234
 DESK = {"n_mc": 2000, "n_boot": 199}

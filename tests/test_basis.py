@@ -18,7 +18,8 @@ import oracles
 from harmeans import basis
 from harmeans.errors import DomainError
 from harmeans.lrv import TimeSeriesSample, series_lrv
-from harmeans.sharwb import bootstrap_lrv_closed_form, gen_eta
+from harmeans.sharwb import gen_eta
+from oracles import bootstrap_lrv_closed_form
 
 SQRT2 = math.sqrt(2.0)
 

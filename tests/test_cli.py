@@ -226,6 +226,15 @@ class TestReadGrouped:
             read_grouped(path, "g", "y")
         assert str(exc.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("header", ["", "group,value\n"], ids=["headerless", "header"])
+    def test_group_column_by_index(self, tmp_path, header):
+        # a text label in the first row of a headerless file is data, not a header
+        rows = "".join(f"{'AB'[i % 2]},{i}.5\n" for i in range(20))
+        path = write(tmp_path / "g.csv", header + rows)
+        v1, v2 = read_grouped(path, "0", "1")
+        assert v1.tolist() == [i + 0.5 for i in range(0, 20, 2)]
+        assert v2.tolist() == [i + 0.5 for i in range(1, 20, 2)]
+
 
 SHORT = None  # a data row that ends before the value column
 
@@ -393,19 +402,6 @@ class TestTestCommand:
                      "--k1", "3", "--k2", "5"])
         assert code == EXIT_OK
 
-    def test_k_auto_overrides_explicit(self, wfh_shape_files, tmp_path):
-        f1, f2 = wfh_shape_files
-        out_auto = tmp_path / "auto.json"
-        out_forced = tmp_path / "forced.json"
-        main(["test", "--y1", f1, "--y2", f2, "--B", "49", "--format", "json",
-              "--out", str(out_auto)])
-        main(["test", "--y1", f1, "--y2", f2, "--B", "49", "--format", "json",
-              "--k1", "3", "--k2", "5", "--k-auto", "--out", str(out_forced)])
-        auto = json.loads(out_auto.read_text())
-        forced = json.loads(out_forced.read_text())
-        assert forced["config"]["k1"] == auto["config"]["k1"]
-        assert forced["config"]["k2"] == auto["config"]["k2"]
-
     def test_constant_groups_degenerate_exit(self, tmp_path, capsys):
         f1 = write(tmp_path / "c1.csv", "\n".join(["2.0"] * 10) + "\n")
         f2 = write(tmp_path / "c2.csv", "\n".join(["2.0"] * 10) + "\n")
@@ -462,6 +458,16 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text: byte 0xe9" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("k_flags", [[], ["--k1", "3", "--k2", "3"]], ids=["auto", "explicit"])
+    def test_values_whose_squares_overflow_exit_input(self, tmp_path, capsys, k_flags):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((2, 30)) * [[1e200], [1.0]]
+        big, good = (write(tmp_path / f"{name}.csv", "".join(f"{v:.17g}\n" for v in row))
+                     for name, row in zip(("big", "good"), values))
+        code = main(["test", "--y1", big, "--y2", good, *k_flags])
+        assert code == EXIT_INPUT
+        assert "residual sum of squares is not finite" in capsys.readouterr().err
 
     def test_short_group_exit_input(self, tmp_path, capsys):
         f1 = write(tmp_path / "s1.csv", "1.0\n2.0\n3.0\n")

@@ -1,10 +1,13 @@
-"""The package imports only the standard library, numpy and itself."""
+"""The package imports only the standard library, numpy and itself, and
+holds only code that its products run or that it exports."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import harmeans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "harmeans"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "harmeans"}
@@ -24,3 +27,25 @@ def test_imports_are_stdlib_numpy_or_the_package(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     foreign = sorted(set(imported_roots(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_every_top_level_def_is_used_in_the_package_or_public():
+    # code that only the tests call belongs in the tests, as an oracle
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    references = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = []
+    for tree in trees:
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = set(map(id, ast.walk(definition)))
+            if definition.name not in harmeans.__all__ and not any(
+                name == definition.name and id(node) not in own for node, name in references
+            ):
+                unused.append(definition.name)
+    assert not unused, f"neither referenced in src/harmeans nor in __all__: {sorted(unused)}"

@@ -22,6 +22,7 @@ from harmeans.lrv import (
     series_lrv,
 )
 from harmeans.simlab import simulate_series
+from harmeans.statdist import chisq_sf
 
 
 def sample(values) -> TimeSeriesSample:
@@ -51,6 +52,15 @@ class TestTimeSeriesSample:
         with pytest.raises(ValueError):
             s.spectrum[0] = 9.0
         assert np.array_equal(s.spectrum, basis.dft(s.residuals))
+
+    @pytest.mark.parametrize(
+        "values", [np.random.default_rng(1).standard_normal(30) * 1e200, [1.7e308] * 4],
+        ids=["squares", "mean"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+    def test_finite_values_that_overflow_are_rejected(self, values):
+        with pytest.raises(DomainError, match="residual sum of squares is not finite"):
+            sample(values)
 
     def test_variance_matches_unbiased_formula(self):
         vals = [0.0, 2.0]
@@ -294,6 +304,12 @@ class TestLjungBox:
         q, p = ljung_box(s, 10)
         assert q == pytest.approx(q_direct, rel=1e-12)
         assert p == pytest.approx(oracles.chisq_sf(q, 10.0), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [30, 10_001])
+    def test_same_bytes_as_recomputed_energy(self, n):
+        s = sample(np.random.default_rng(n).standard_normal(n))
+        q_old = oracles.ljung_box_q(s, 10)
+        assert ljung_box(s, 10) == (q_old, chisq_sf(q_old, 10.0))
 
     def test_null_calibration(self):
         # iid data: 5%-level rejections over 2000 fixed seeds stay below 7%

@@ -23,12 +23,11 @@ from harmeans.sharwb import (
     _operator,
     _pooled_mean,
     _replicate_stats,
-    bootstrap_lrv_closed_form,
-    eta_autocov,
     gen_eta,
     shar_wb_test,
 )
 from harmeans.simlab import simulate_series
+from oracles import bootstrap_lrv_closed_form, eta_autocov
 
 
 def sample(values) -> TimeSeriesSample:

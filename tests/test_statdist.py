@@ -13,12 +13,10 @@ from harmeans.statdist import (
     DistKind,
     RefDistribution,
     chisq_sf,
-    log_gamma,
     normal_cdf,
     reg_gamma_upper,
     reg_inc_beta,
     t_cdf,
-    t_pdf,
     t_quantile,
     two_sided_p,
 )
@@ -175,13 +173,6 @@ class TestChisqSf:
 
 
 class TestPrimitives:
-    def test_log_gamma_against_stdlib(self):
-        rng = np.random.default_rng(23)
-        for z in rng.uniform(0.01, 300, size=400):
-            assert log_gamma(float(z)) == pytest.approx(
-                math.lgamma(float(z)), rel=1e-13, abs=1e-13
-            )
-
     def test_incomplete_beta_edges(self):
         assert reg_inc_beta(2.0, 3.0, 0.0) == 0.0
         assert reg_inc_beta(2.0, 3.0, 1.0) == 1.0
@@ -200,14 +191,16 @@ class TestPrimitives:
         with pytest.raises(DomainError):
             reg_gamma_upper(-1.0, 1.0)
 
-    def test_t_pdf_matches_stdlib_form(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            x = float(rng.uniform(-10, 10))
-            df = float(rng.uniform(0.5, 800))
-            assert t_pdf(x, df) == pytest.approx(
-                float(oracles.t_pdf(x, df)), rel=1e-12
-            )
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_shapes_rejected(self, bad):
+        with pytest.raises(DomainError):
+            chisq_sf(1.0, bad)
+        with pytest.raises(DomainError):
+            reg_gamma_upper(bad, 1.0)
+        with pytest.raises(DomainError):
+            reg_inc_beta(bad, 0.5, 0.3)
+        with pytest.raises(DomainError):
+            reg_inc_beta(0.5, bad, 0.3)
 
 
 class TestRefDistribution:
