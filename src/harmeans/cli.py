@@ -266,7 +266,7 @@ def build_report(y1: TimeSeriesSample, y2: TimeSeriesSample, args) -> dict:
             "mean": sample.mean,
             "lrv": fit.lrv.omega,
             "lrv_sqrt": fit.lrv.omega ** 0.5,
-            "k": fit.k,
+            "k": fit.lrv.k,
         }
         if fit.k_note is not None:
             entry["k_na"] = fit.k_note
@@ -290,8 +290,8 @@ def build_report(y1: TimeSeriesSample, y2: TimeSeriesSample, args) -> dict:
         "alpha": args.alpha,
         "n_boot": args.n_boot,
         "seed": args.seed,
-        "k1": result.groups[0].k,
-        "k2": result.groups[1].k,
+        "k1": result.groups[0].lrv.k,
+        "k2": result.groups[1].lrv.k,
         "k_mode": "auto" if args.k1 == "auto" or args.k2 == "auto" else "explicit",
         "lb_lag": args.lb_lag,
         "inputs": {

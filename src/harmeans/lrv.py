@@ -21,6 +21,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -115,7 +116,8 @@ class TimeSeriesSample:
         if not np.all(np.isfinite(arr)):
             raise DomainError("sample contains non-finite values")
         arr = arr.copy()
-        mean = float(arr.mean())
+        with np.errstate(over="ignore"):  # an overflowing sum fails the energy check
+            mean = float(arr.mean())
         resid = arr - mean
         arr.flags.writeable = False
         resid.flags.writeable = False
@@ -136,11 +138,13 @@ class TimeSeriesSample:
 
 @dataclass(frozen=True)
 class LrvEstimate:
-    """A long-run variance value with its basis count and coefficients."""
+    """A long-run variance value with its basis count and coefficients, and
+    the sample it was taken on."""
 
     omega: float
     k: int
     coefficients: np.ndarray = field(repr=False)
+    sample: TimeSeriesSample = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -152,17 +156,6 @@ class KSelection:
     sigma_hat: float
     b_bar: float
     clamped: bool
-
-
-def series_lrv(sample: TimeSeriesSample, k: int) -> LrvEstimate:
-    """Series LRV estimate: the average of the first k squared projections."""
-    if not 1 <= k <= sample.max_k:
-        raise DomainError(
-            f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
-        )
-    coeffs = basis.coefficients(sample.spectrum, k)
-    coeffs.flags.writeable = False
-    return LrvEstimate(omega=float((coeffs * coeffs).sum()) / k, k=k, coefficients=coeffs)
 
 
 def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:
@@ -240,16 +233,26 @@ def select_k(sample: TimeSeriesSample) -> KSelection:
     )
 
 
-def resolve_k(sample: TimeSeriesSample, k) -> int:
-    """Resolve an explicit or "auto" basis count for one sample."""
-    if isinstance(k, str):
-        if k != "auto":
-            raise DomainError(f"k must be an integer or 'auto', got {k!r}")
-        return select_k(sample).k_hat
+def series_lrv(sample: TimeSeriesSample, k="auto") -> LrvEstimate:
+    """Series LRV estimate: the average of the first k squared projections.
+
+    ``k`` is an integer in [1, floor(T/2)] or "auto", which takes the
+    data-driven count ``select_k(sample).k_hat``.
+    """
+    if k == "auto":
+        k = select_k(sample).k_hat
+    elif not isinstance(k, numbers.Integral):
+        raise DomainError(f"k must be an integer or 'auto', got {k!r}")
     k = int(k)
     if not 1 <= k <= sample.max_k:
-        raise DomainError(f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}")
-    return k
+        raise DomainError(
+            f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
+        )
+    coeffs = basis.coefficients(sample.spectrum, k)
+    coeffs.flags.writeable = False
+    return LrvEstimate(
+        omega=float((coeffs * coeffs).sum()) / k, k=k, coefficients=coeffs, sample=sample
+    )
 
 
 def ljung_box(sample: TimeSeriesSample, lags: int = 10) -> tuple[float, float]:

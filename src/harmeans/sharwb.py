@@ -33,7 +33,7 @@ import numpy as np
 
 from . import basis
 from .errors import DegenerateReplicatesError, DomainError
-from .lrv import TimeSeriesSample, _calling_thread_blas
+from .lrv import LrvEstimate, TimeSeriesSample, _calling_thread_blas
 from .statdist import DistKind, RefDistribution
 from .ttests import NORMAL, TestReport, har_welch_t
 
@@ -137,29 +137,29 @@ def _empirical_quantile(sorted_stats: np.ndarray, p: float) -> float:
 
 
 def shar_wb_test(
-    y1: TimeSeriesSample,
-    y2: TimeSeriesSample,
+    lrv1: LrvEstimate,
+    lrv2: LrvEstimate,
     alpha: float = 0.05,
     n_boot: int = 399,
     seed: int = 0,
-    k1="auto",
-    k2="auto",
     law: str = NORMAL_INNOVATIONS,
 ) -> tuple[TestReport, BootstrapRun]:
     """Wild-bootstrap two-sample mean test robust to serial dependence.
 
-    Selects K_j (data-driven unless given), takes the studentized statistic
-    and its LRVs from ``har_welch_t``, generates ``n_boot`` replicate
-    statistics with dependent multipliers (K*_j = K_j), and rejects when the
-    statistic falls outside the empirical alpha/2 and 1-alpha/2 quantiles.
-    The reported p-value is the symmetric two-tailed one,
+    Takes each group's series LRV estimate (``series_lrv``), whose basis
+    count K_j also sets the multipliers' K*_j.  The studentized statistic
+    comes from ``har_welch_t`` on those estimates; ``n_boot`` replicate
+    statistics with dependent multipliers follow, and the test rejects when
+    the statistic falls outside the empirical alpha/2 and 1-alpha/2
+    quantiles.  The reported p-value is the symmetric two-tailed one,
     2*min(F*(t), 1-F*(t)).  Fully reproducible from ``seed``.
     """
     if n_boot < 19:
         raise DomainError(f"need at least 19 bootstrap replicates, got {n_boot}")
-    observed = har_welch_t(y1, y2, k1, k2, alpha, reference=NORMAL)
+    observed = har_welch_t(lrv1, lrv2, alpha, NORMAL)
     stat = observed.statistic
-    k1, k2 = observed.detail["K1"], observed.detail["K2"]
+    y1, y2 = lrv1.sample, lrv2.sample
+    k1, k2 = lrv1.k, lrv2.k
     k_star1, k_star2 = k1, k2
 
     master = np.random.SeedSequence(seed)

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
-from .lrv import LrvEstimate, TimeSeriesSample, resolve_k, series_lrv
+from .lrv import LrvEstimate, TimeSeriesSample, series_lrv
 from .sharwb import BootstrapRun, shar_wb_test
-from .ttests import NORMAL, T_ADJUSTED, _har_pooled, _har_welch, classical_t, welch_t
+from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
 
 NORMAL_ERRORS = "normal"
 CHISQ1_ERRORS = "chisq1"
@@ -42,9 +42,8 @@ TEST_COLUMNS = ("t0", "t1", "t0_har", "t1_har_norm", "t1_har", "t1_har_boot")
 
 @dataclass(frozen=True)
 class GroupFit:
-    """One group's basis count and series LRV as the six tests use them."""
+    """One group's series LRV (with its basis count K) as the six tests use it."""
 
-    k: int
     k_note: str | None  # why K fell back to 1, when it could not be selected
     lrv: LrvEstimate
 
@@ -61,12 +60,11 @@ class Evaluation:
 
 def _fit_group(sample: TimeSeriesSample, requested) -> GroupFit:
     try:
-        k, note = resolve_k(sample, requested), None
+        return GroupFit(k_note=None, lrv=series_lrv(sample, requested))
     except DegenerateSampleError as exc:
         # keep evaluating: K falls back to 1 and the tests that need
         # variation come out NA
-        k, note = 1, str(exc)
-    return GroupFit(k=k, k_note=note, lrv=series_lrv(sample, k))
+        return GroupFit(k_note=str(exc), lrv=series_lrv(sample, 1))
 
 
 def _attempt(fn, *args, **kwargs):
@@ -87,24 +85,22 @@ def evaluate(
     n_boot: int,
     seed: int,
 ) -> Evaluation:
-    """All six tests in ``TEST_COLUMNS`` order, each group's K resolved once.
+    """All six tests in ``TEST_COLUMNS`` order, each group fitted once.
 
-    ``k1``/``k2`` are integers or "auto".  Degenerate samples or bootstrap
-    replicates turn the affected tests into NA entries; a ``DomainError``
-    (bad K, alpha or n_boot) propagates.
+    ``k1``/``k2`` are integers or "auto".  Every robust test reads the two
+    groups' ``LrvEstimate``.  Degenerate samples or bootstrap replicates
+    turn the affected tests into NA entries; a ``DomainError`` (bad K, alpha
+    or n_boot) propagates.
     """
     groups = (_fit_group(y1, k1), _fit_group(y2, k2))
-    k1, k2 = groups[0].k, groups[1].k
-    fits = (k1, k2, groups[0].lrv.omega, groups[1].lrv.omega)
+    lrv1, lrv2 = groups[0].lrv, groups[1].lrv
     outcomes = {
         "t0": _attempt(classical_t, y1, y2, alpha),
         "t1": _attempt(welch_t, y1, y2, alpha),
-        "t0_har": _attempt(_har_pooled, y1, y2, *fits, alpha),
-        "t1_har_norm": _attempt(_har_welch, y1, y2, *fits, alpha, NORMAL),
-        "t1_har": _attempt(_har_welch, y1, y2, *fits, alpha, T_ADJUSTED),
-        "t1_har_boot": _attempt(
-            shar_wb_test, y1, y2, alpha=alpha, n_boot=n_boot, seed=seed, k1=k1, k2=k2
-        ),
+        "t0_har": _attempt(har_pooled_t, lrv1, lrv2, alpha),
+        "t1_har_norm": _attempt(har_welch_t, lrv1, lrv2, alpha, NORMAL),
+        "t1_har": _attempt(har_welch_t, lrv1, lrv2, alpha, T_ADJUSTED),
+        "t1_har_boot": _attempt(shar_wb_test, lrv1, lrv2, alpha, n_boot, seed),
     }
     bootstrap = None
     if not isinstance(outcomes["t1_har_boot"], str):

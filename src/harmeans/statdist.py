@@ -170,8 +170,9 @@ def t_cdf(x: float, df: float) -> float:
 def t_quantile(p: float, df: float) -> float:
     """Quantile of Student's t: the x with t_cdf(x, df) = p.
 
-    A doubling bracket, then bisection of the monotone CDF until no float
-    lies strictly inside the bracket.
+    A bracket doubling away from 0 on p's side, then bisection of the
+    monotone CDF against p itself until no float lies strictly inside the
+    bracket.  A lower tail is never taken as 1 - p, which would round.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"t_quantile requires p in (0, 1), got {p}")
@@ -179,15 +180,13 @@ def t_quantile(p: float, df: float) -> float:
         raise DomainError(f"t_quantile requires df > 0, got {df}")
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
-
-    lo, hi = 0.0, 1.0
-    while t_cdf(hi, df) < p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:  # pragma: no cover - p < 1 guarantees termination
+    upper = p > 0.5
+    near, far = 0.0, 1.0 if upper else -1.0
+    while (t_cdf(far, df) < p) == upper:
+        if abs(far) > 1e300:
             raise DomainError(f"t_quantile failed to bracket p={p}, df={df}")
+        near, far = far, 2.0 * far
+    lo, hi = (near, far) if upper else (far, near)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -11,8 +11,9 @@ Four analytic tests of H0: mu_1 = mu_2, all two-sided:
   per-group series LRVs; referenced either to N(0,1) or to a Student-t with
   a Welch-type adjusted (fractional) df that accounts for LRV heterogeneity.
 
-Basis counts may be passed explicitly or as "auto", in which case the
-data-driven selection rule picks them per group.
+The robust tests take each group's ``LrvEstimate`` from ``series_lrv``,
+which carries the sample, its basis count K and its LRV, so a group is
+fitted once however many tests read it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSampleError, DomainError
-from .lrv import TimeSeriesSample, resolve_k, series_lrv
+from .lrv import LrvEstimate, TimeSeriesSample
 from .statdist import DistKind, RefDistribution, two_sided_p
 
 NORMAL = "normal"
@@ -98,37 +99,18 @@ def welch_t(
     return _report("t1", stat, ref, alpha, detail)
 
 
-def _har_inputs(y1: TimeSeriesSample, y2: TimeSeriesSample, k1, k2):
-    """Resolved basis counts and the per-group series LRVs."""
-    k1 = resolve_k(y1, k1)
-    k2 = resolve_k(y2, k2)
-    return k1, k2, series_lrv(y1, k1).omega, series_lrv(y2, k2).omega
-
-
-def har_pooled_t(
-    y1: TimeSeriesSample,
-    y2: TimeSeriesSample,
-    k1="auto",
-    k2="auto",
-    alpha: float = 0.05,
-) -> TestReport:
+def har_pooled_t(lrv1: LrvEstimate, lrv2: LrvEstimate, alpha: float = 0.05) -> TestReport:
     """Robust pooled t-test: pooled series LRV, referenced to t(K1+K2)."""
     _validate_alpha(alpha)
-    return _har_pooled(y1, y2, *_har_inputs(y1, y2, k1, k2), alpha)
-
-
-def _har_pooled(
-    y1: TimeSeriesSample, y2: TimeSeriesSample, k1: int, k2: int, om1: float, om2: float,
-    alpha: float,
-) -> TestReport:
-    """``har_pooled_t`` on resolved basis counts and the LRVs they give."""
-    pooled = (k1 * om1 + k2 * om2) / (k1 + k2)
+    k1, k2 = lrv1.k, lrv2.k
+    pooled = (k1 * lrv1.omega + k2 * lrv2.omega) / (k1 + k2)
     if pooled <= 0.0:
         raise DegenerateSampleError("pooled long-run variance is zero")
+    y1, y2 = lrv1.sample, lrv2.sample
     t1, t2 = y1.n, y2.n
     stat = (y1.mean - y2.mean) / (math.sqrt(pooled) * math.sqrt(1.0 / t1 + 1.0 / t2))
     ref = RefDistribution(DistKind.STUDENT_T, df=float(k1 + k2))
-    detail = _detail(y1, y2, lrv1=om1, lrv2=om2, K1=k1, K2=k2, df=float(k1 + k2))
+    detail = _detail(y1, y2, lrv1=lrv1.omega, lrv2=lrv2.omega, K1=k1, K2=k2, df=float(k1 + k2))
     return _report("t0_har", stat, ref, alpha, detail)
 
 
@@ -161,10 +143,8 @@ def k_adf(
 
 
 def har_welch_t(
-    y1: TimeSeriesSample,
-    y2: TimeSeriesSample,
-    k1="auto",
-    k2="auto",
+    lrv1: LrvEstimate,
+    lrv2: LrvEstimate,
     alpha: float = 0.05,
     reference: str = T_ADJUSTED,
 ) -> TestReport:
@@ -180,15 +160,9 @@ def har_welch_t(
         raise DomainError(
             f"reference must be '{NORMAL}' or '{T_ADJUSTED}', got {reference!r}"
         )
-    return _har_welch(y1, y2, *_har_inputs(y1, y2, k1, k2), alpha, reference)
-
-
-def _har_welch(
-    y1: TimeSeriesSample, y2: TimeSeriesSample, k1: int, k2: int, om1: float, om2: float,
-    alpha: float, reference: str,
-) -> TestReport:
-    """``har_welch_t`` on resolved basis counts and the LRVs they give."""
-    detail = _detail(y1, y2, lrv1=om1, lrv2=om2, K1=k1, K2=k2)
+    y1, y2 = lrv1.sample, lrv2.sample
+    om1, om2 = lrv1.omega, lrv2.omega
+    detail = _detail(y1, y2, lrv1=om1, lrv2=om2, K1=lrv1.k, K2=lrv2.k)
     t1, t2 = y1.n, y2.n
     denom_sq = om1 / t1 + om2 / t2
     if denom_sq <= 0.0:
@@ -200,7 +174,7 @@ def _har_welch(
     else:
         if om1 <= 0.0 or om2 <= 0.0:
             raise DegenerateSampleError("a long-run variance is zero; adjusted df undefined")
-        df = k_adf(om1, om2, t1, t2, k1, k2)
+        df = k_adf(om1, om2, t1, t2, lrv1.k, lrv2.k)
         ref = RefDistribution(DistKind.STUDENT_T, df=df)
         detail["k_adf"] = df
         detail["df"] = df

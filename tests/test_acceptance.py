@@ -16,7 +16,7 @@ from conftest import record_criterion
 
 import oracles
 from harmeans import basis
-from harmeans.lrv import TimeSeriesSample, _curvature_b, select_k
+from harmeans.lrv import TimeSeriesSample, _curvature_b, select_k, series_lrv
 from harmeans.simlab import Scenario, run_cell, simulate_series
 from harmeans.statdist import chisq_sf, t_cdf, t_quantile
 from harmeans.ttests import har_pooled_t, har_welch_t, k_adf
@@ -159,8 +159,9 @@ def test_criterion_7_balanced_df_and_statistic_identity():
         rng = np.random.default_rng(seed)
         y1 = TimeSeriesSample.from_values(rng.standard_normal(60))
         y2 = TimeSeriesSample.from_values(rng.standard_normal(60) + 0.3)
-        sp = har_pooled_t(y1, y2, 5, 5).statistic
-        sw = har_welch_t(y1, y2, 5, 5).statistic
+        lrv1, lrv2 = series_lrv(y1, 5), series_lrv(y2, 5)
+        sp = har_pooled_t(lrv1, lrv2).statistic
+        sw = har_welch_t(lrv1, lrv2).statistic
         worst_stat = max(worst_stat, abs(sp - sw) / abs(sw))
     ok = worst_df <= 1e-13 and worst_stat <= 1e-12
     detail = (

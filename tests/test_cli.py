@@ -388,13 +388,12 @@ class TestTestCommand:
         k1, k2 = select_k(y1).k_hat, select_k(y2).k_hat
         assert report["config"]["k1"] == k1
         assert report["config"]["k2"] == k2
-        lib = har_welch_t(y1, y2, k1, k2)
+        lrv1 = series_lrv(y1, k1)
+        lib = har_welch_t(lrv1, series_lrv(y2, k2))
         assert report["tests"]["t1_har"]["statistic"] == pytest.approx(
             lib.statistic, rel=1e-15
         )
-        assert report["groups"][0]["lrv"] == pytest.approx(
-            series_lrv(y1, k1).omega, rel=1e-15
-        )
+        assert report["groups"][0]["lrv"] == pytest.approx(lrv1.omega, rel=1e-15)
 
     def test_explicit_k_flags(self, wfh_shape_files, capsys):
         f1, f2 = wfh_shape_files
@@ -468,6 +467,16 @@ class TestTestCommand:
         code = main(["test", "--y1", big, "--y2", good, *k_flags])
         assert code == EXIT_INPUT
         assert "residual sum of squares is not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would end as exit 4
+    def test_values_whose_sum_overflows_give_one_error_line(self, tmp_path, capsys):
+        big = write(tmp_path / "big.csv", "1.7e308\n" * 5)
+        code = main(["test", "--y1", big, "--y2", big])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: sample values too large: residual sum of squares is not finite"
+        ]
 
     def test_short_group_exit_input(self, tmp_path, capsys):
         f1 = write(tmp_path / "s1.csv", "1.0\n2.0\n3.0\n")

@@ -17,7 +17,6 @@ from harmeans.lrv import (
     _curvature_b,
     ar1_plugin,
     ljung_box,
-    resolve_k,
     select_k,
     series_lrv,
 )
@@ -57,7 +56,7 @@ class TestTimeSeriesSample:
         "values", [np.random.default_rng(1).standard_normal(30) * 1e200, [1.7e308] * 4],
         ids=["squares", "mean"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+    @pytest.mark.filterwarnings("error")  # the DomainError is the only signal
     def test_finite_values_that_overflow_are_rejected(self, values):
         with pytest.raises(DomainError, match="residual sum of squares is not finite"):
             sample(values)
@@ -258,18 +257,23 @@ class TestSelectK:
 
 
 class TestResolveK:
+    """``series_lrv`` resolves an explicit or "auto" basis count."""
+
     def test_auto_matches_select_k(self):
         rng = np.random.default_rng(21)
         s = sample(rng.standard_normal(100))
-        assert resolve_k(s, "auto") == select_k(s).k_hat
+        assert series_lrv(s, "auto").k == select_k(s).k_hat
+        assert series_lrv(s).k == select_k(s).k_hat
+        assert series_lrv(s).sample is s
 
     def test_explicit_passthrough_and_bounds(self):
         s = sample(np.arange(12.0))
-        assert resolve_k(s, 3) == 3
+        assert series_lrv(s, 3).k == 3
         with pytest.raises(DomainError):
-            resolve_k(s, 7)
-        with pytest.raises(DomainError):
-            resolve_k(s, "bogus")
+            series_lrv(s, 7)
+        for bad in ("bogus", 3.7):
+            with pytest.raises(DomainError, match="integer or 'auto'"):
+                series_lrv(s, bad)
 
 
 class TestLjungBox:

@@ -15,7 +15,7 @@ from harmeans.errors import (
     DegenerateSampleError,
     DomainError,
 )
-from harmeans.lrv import TimeSeriesSample
+from harmeans.lrv import TimeSeriesSample, series_lrv
 from harmeans.sharwb import (
     BootstrapRun,
     _draw_innovations,
@@ -32,6 +32,11 @@ from oracles import bootstrap_lrv_closed_form, eta_autocov
 
 def sample(values) -> TimeSeriesSample:
     return TimeSeriesSample.from_values(values)
+
+
+def fits(y1, y2, k1="auto", k2="auto"):
+    """Both groups' series LRV estimates, the robust tests' inputs."""
+    return series_lrv(y1, k1), series_lrv(y2, k2)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +177,7 @@ class TestReplicate:
         rng = np.random.default_rng(606)
         y1 = simulate_series(200, 0.0, 1.0, 0.0, "normal", rng)
         y2 = simulate_series(200, 0.0, 1.0, 0.0, "normal", rng)
-        _, run = shar_wb_test(y1, y2, n_boot=10_000, seed=42)
+        _, run = shar_wb_test(*fits(y1, y2), n_boot=10_000, seed=42)
         stats = run.replicate_stats
         assert abs(stats.mean()) <= 0.05
         assert 0.85 <= stats.var() <= 1.2
@@ -196,15 +201,15 @@ class TestSharWbTest:
         rng = np.random.default_rng(14)
         y = simulate_series(60, 0.3, 1.0, 1.0, "normal", rng)
         for alpha in (0.05, 0.2, 0.5):
-            report, run = shar_wb_test(y, y, alpha=alpha, n_boot=99, seed=3)
+            report, run = shar_wb_test(*fits(y, y), alpha=alpha, n_boot=99, seed=3)
             assert report.statistic == 0.0
             assert not report.reject
             assert run.crit_lo <= run.crit_hi
 
     def test_bit_identical_given_seed(self, fixed_pair):
         y1, y2 = fixed_pair
-        rep_a, run_a = shar_wb_test(y1, y2, n_boot=199, seed=77)
-        rep_b, run_b = shar_wb_test(y1, y2, n_boot=199, seed=77)
+        rep_a, run_a = shar_wb_test(*fits(y1, y2), n_boot=199, seed=77)
+        rep_b, run_b = shar_wb_test(*fits(y1, y2), n_boot=199, seed=77)
         assert np.array_equal(run_a.replicate_stats, run_b.replicate_stats)
         assert run_a.crit_lo == run_b.crit_lo
         assert run_a.p_value == run_b.p_value
@@ -212,8 +217,8 @@ class TestSharWbTest:
 
     def test_seed_changes_replicates(self, fixed_pair):
         y1, y2 = fixed_pair
-        _, run_a = shar_wb_test(y1, y2, n_boot=99, seed=1)
-        _, run_b = shar_wb_test(y1, y2, n_boot=99, seed=2)
+        _, run_a = shar_wb_test(*fits(y1, y2), n_boot=99, seed=1)
+        _, run_b = shar_wb_test(*fits(y1, y2), n_boot=99, seed=2)
         assert not np.array_equal(run_a.replicate_stats, run_b.replicate_stats)
 
     def test_nested_rejection_monotone_in_alpha(self):
@@ -222,8 +227,8 @@ class TestSharWbTest:
             rng = np.random.default_rng(700 + seed)
             y1 = simulate_series(60, 0.5, 1.0, 1.0, "normal", rng)
             y2 = simulate_series(60, 0.5, 1.0, 1.12, "normal", rng)
-            rep05, _ = shar_wb_test(y1, y2, alpha=0.05, n_boot=199, seed=seed)
-            rep10, _ = shar_wb_test(y1, y2, alpha=0.10, n_boot=199, seed=seed)
+            rep05, _ = shar_wb_test(*fits(y1, y2), alpha=0.05, n_boot=199, seed=seed)
+            rep10, _ = shar_wb_test(*fits(y1, y2), alpha=0.10, n_boot=199, seed=seed)
             if rep05.reject:
                 hits += 1
                 assert rep10.reject
@@ -241,8 +246,8 @@ class TestSharWbTest:
 
     def test_observed_statistic_negates_under_swap(self, fixed_pair):
         y1, y2 = fixed_pair
-        rep_f, _ = shar_wb_test(y1, y2, n_boot=99, seed=5, k1=4, k2=3)
-        rep_r, _ = shar_wb_test(y2, y1, n_boot=99, seed=5, k1=3, k2=4)
+        rep_f, _ = shar_wb_test(*fits(y1, y2, 4, 3), n_boot=99, seed=5)
+        rep_r, _ = shar_wb_test(*fits(y2, y1, 3, 4), n_boot=99, seed=5)
         assert rep_r.statistic == pytest.approx(-rep_f.statistic, rel=1e-12)
 
     def test_null_centering_over_fixtures(self):
@@ -253,7 +258,7 @@ class TestSharWbTest:
             rng = np.random.default_rng(900 + seed)
             y1 = simulate_series(100, 0.5, 1.0, 2.0, "normal", rng)
             y2 = simulate_series(100, 0.5, 1.0, 2.0, "normal", rng)
-            _, run = shar_wb_test(y1, y2, n_boot=10_000, seed=seed)
+            _, run = shar_wb_test(*fits(y1, y2), n_boot=10_000, seed=seed)
             stats = run.replicate_stats
             ok += abs(stats.mean()) <= 3.0 * stats.std() / math.sqrt(stats.size)
         assert ok >= 9
@@ -261,13 +266,13 @@ class TestSharWbTest:
     def test_validation_errors(self, fixed_pair):
         y1, y2 = fixed_pair
         with pytest.raises(DomainError):
-            shar_wb_test(y1, y2, alpha=0.0, n_boot=99, seed=1)
+            shar_wb_test(*fits(y1, y2), alpha=0.0, n_boot=99, seed=1)
         with pytest.raises(DomainError):
-            shar_wb_test(y1, y2, n_boot=18, seed=1)
+            shar_wb_test(*fits(y1, y2), n_boot=18, seed=1)
 
     def test_degenerate_inputs_propagate(self):
         with pytest.raises(DegenerateSampleError):
-            shar_wb_test(sample([2.0] * 12), sample([2.0] * 12), n_boot=99, seed=1, k1=2, k2=2)
+            shar_wb_test(*fits(sample([2.0] * 12), sample([2.0] * 12), 2, 2), n_boot=99, seed=1)
 
     def test_redraw_path_counts(self, fixed_pair, monkeypatch):
         y1, y2 = fixed_pair
@@ -284,7 +289,7 @@ class TestSharWbTest:
             return out
 
         monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
-        _, run = shar_wb_test(y1, y2, n_boot=49, seed=9)
+        _, run = shar_wb_test(*fits(y1, y2), n_boot=49, seed=9)
         assert run.n_redrawn == 2
         assert not np.any(np.isnan(run.replicate_stats))
 
@@ -302,11 +307,11 @@ class TestSharWbTest:
 
         monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
         with pytest.raises(DegenerateReplicatesError):
-            shar_wb_test(y1, y2, n_boot=49, seed=9)
+            shar_wb_test(*fits(y1, y2), n_boot=49, seed=9)
 
     def test_run_fields(self, fixed_pair):
         y1, y2 = fixed_pair
-        report, run = shar_wb_test(y1, y2, n_boot=199, seed=123, k1=5, k2=4)
+        report, run = shar_wb_test(*fits(y1, y2, 5, 4), n_boot=199, seed=123)
         assert isinstance(run, BootstrapRun)
         assert run.B == 199 and run.seed == 123
         assert run.K1 == 5 and run.K2 == 4
@@ -386,7 +391,7 @@ class TestReplicateKernel:
         y2 = simulate_series(20_000, 0.5, 1.0, 0.0, "normal", rng)
         tracemalloc.start()
         try:
-            shar_wb_test(y1, y2, n_boot=399, seed=1)
+            shar_wb_test(*fits(y1, y2), n_boot=399, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

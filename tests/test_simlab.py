@@ -14,7 +14,7 @@ import harmeans.ttests as ttests_mod
 import oracles
 from harmeans import basis
 from harmeans.errors import DomainError
-from harmeans.lrv import TimeSeriesSample, resolve_k, series_lrv
+from harmeans.lrv import TimeSeriesSample, series_lrv
 from harmeans.sharwb import shar_wb_test
 from harmeans.simlab import (
     TEST_COLUMNS,
@@ -46,15 +46,14 @@ class TestEvaluate:
         result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
         # separate samples, so the public functions share nothing with evaluate
         f1, f2 = wfh_pair()
-        boot_report, boot_run = shar_wb_test(
-            f1, f2, alpha=0.05, n_boot=49, seed=3, k1=k1, k2=k2
-        )
+        lrv1, lrv2 = series_lrv(f1, k1), series_lrv(f2, k2)
+        boot_report, boot_run = shar_wb_test(lrv1, lrv2, alpha=0.05, n_boot=49, seed=3)
         expected = {
             "t0": classical_t(f1, f2, 0.05),
             "t1": welch_t(f1, f2, 0.05),
-            "t0_har": har_pooled_t(f1, f2, k1, k2, 0.05),
-            "t1_har_norm": har_welch_t(f1, f2, k1, k2, 0.05, reference=NORMAL),
-            "t1_har": har_welch_t(f1, f2, k1, k2, 0.05, reference=T_ADJUSTED),
+            "t0_har": har_pooled_t(lrv1, lrv2, 0.05),
+            "t1_har_norm": har_welch_t(lrv1, lrv2, 0.05, reference=NORMAL),
+            "t1_har": har_welch_t(lrv1, lrv2, 0.05, reference=T_ADJUSTED),
             "t1_har_boot": boot_report,
         }
         assert result.na == {}
@@ -67,10 +66,9 @@ class TestEvaluate:
                 assert np.array_equal(got, want)
             else:
                 assert got == want, f.name
-        for fit, sample, k in zip(result.groups, (f1, f2), (k1, k2)):
-            assert fit.k == resolve_k(sample, k)
+        for fit, lrv in zip(result.groups, (lrv1, lrv2)):
+            assert fit.lrv.k == lrv.k
             assert fit.k_note is None
-            lrv = series_lrv(sample, fit.k)
             assert fit.lrv.omega == lrv.omega
             assert np.array_equal(fit.lrv.coefficients, lrv.coefficients)
 
@@ -89,7 +87,8 @@ class TestEvaluate:
             "t1_har_boot": "both long-run variances are zero",
         }
         for fit in result.groups:
-            assert (fit.k, fit.k_note, fit.lrv.omega) == (1, "residuals carry no variation", 0.0)
+            assert (fit.lrv.k, fit.lrv.omega) == (1, 0.0)
+            assert fit.k_note == "residuals carry no variation"
 
     def test_bad_explicit_k_propagates(self):
         y1, y2 = wfh_pair()
@@ -110,7 +109,7 @@ class TestEvaluate:
         result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=3)
         assert calls == [(37,), (85,)]  # evaluate only reads the two spectra
         for y, group in zip((y1, y2), result.groups):
-            assert series_lrv(y, group.k).omega == group.lrv.omega
+            assert series_lrv(y, group.lrv.k).omega == group.lrv.omega
 
     @pytest.mark.parametrize(("k1", "k2"), [("auto", "auto"), (3, 5)])
     def test_analytic_tests_reuse_the_group_lrvs(self, monkeypatch, k1, k2):
@@ -129,9 +128,9 @@ class TestEvaluate:
         y1, y2 = wfh_pair()
         result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
         assert result.na == {}
-        # one LRV per group for the analytic tests; shar_wb_test's own
-        # normal-reference statistic takes one more per group, and a p-value
-        assert calls == {"series_lrv": 4, "two_sided_p": 6}
+        # one LRV per group, which every robust test reads; shar_wb_test's
+        # own normal-reference statistic takes one more p-value
+        assert calls == {"series_lrv": 2, "two_sided_p": 6}
 
     def test_variance_taken_once_per_group(self, monkeypatch):
         # with explicit K no AR(1) plug-in runs, so every residual product

@@ -129,6 +129,12 @@ class TestTQuantile:
             qs = [t_quantile(float(p), df) for p in ps]
             assert all(b > a for a, b in zip(qs, qs[1:]))
 
+    @pytest.mark.parametrize("p", [1e-17, 1e-15])
+    def test_far_lower_tail_keeps_p(self, p):
+        # 1 - p rounds at these p, so the lower tail is bisected on p itself
+        q = t_quantile(p, 5.0)
+        assert abs(t_cdf(q, 5.0) - p) <= 1e-12 * p
+
     def test_domain_errors(self):
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmeans.errors import DegenerateSampleError, DomainError
-from harmeans.lrv import TimeSeriesSample
+from harmeans.lrv import TimeSeriesSample, series_lrv
 from harmeans.statdist import normal_cdf, t_cdf, t_quantile
 from harmeans.ttests import (
     NORMAL,
@@ -23,6 +23,11 @@ from harmeans.ttests import (
 
 def sample(values) -> TimeSeriesSample:
     return TimeSeriesSample.from_values(values)
+
+
+def fits(y1, y2, k1="auto", k2="auto"):
+    """Both groups' series LRV estimates, the robust tests' inputs."""
+    return series_lrv(y1, k1), series_lrv(y2, k2)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +97,7 @@ class TestHarPooledT:
     def test_identical_series(self):
         rng = np.random.default_rng(5)
         y = sample(rng.standard_normal(40))
-        rep = har_pooled_t(y, y, 4, 4)
+        rep = har_pooled_t(*fits(y, y, 4, 4))
         assert rep.statistic == 0.0
         assert rep.p_value == pytest.approx(1.0)
 
@@ -120,18 +125,18 @@ class TestHarPooledT:
         expected = (y1.mean - y2.mean) / (
             math.sqrt(pooled) * math.sqrt(1.0 / 8 + 1.0 / 8)
         )
-        rep = har_pooled_t(y1, y2, k1, k2)
+        rep = har_pooled_t(*fits(y1, y2, k1, k2))
         assert rep.statistic == pytest.approx(expected, abs=1e-12)
         assert rep.reference.df == 6.0
 
     def test_k_out_of_range(self, pair):
         y1, y2 = pair
         with pytest.raises(DomainError):
-            har_pooled_t(y1, y2, 100, 3)
+            har_pooled_t(*fits(y1, y2, 100, 3))
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            har_pooled_t(sample([1.0] * 10), sample([1.0] * 10), 2, 2)
+            har_pooled_t(*fits(sample([1.0] * 10), sample([1.0] * 10), 2, 2))
 
 
 class TestKAdf:
@@ -163,7 +168,7 @@ class TestHarWelchT:
         rng = np.random.default_rng(6)
         y = sample(rng.standard_normal(50))
         for ref in (NORMAL, T_ADJUSTED):
-            rep = har_welch_t(y, y, 5, 5, reference=ref)
+            rep = har_welch_t(*fits(y, y, 5, 5), reference=ref)
             assert rep.statistic == 0.0
             assert rep.p_value == pytest.approx(1.0)
 
@@ -171,14 +176,14 @@ class TestHarWelchT:
         rng = np.random.default_rng(7)
         y1 = sample(rng.standard_normal(60))
         y2 = sample(rng.standard_normal(60) + 0.4)
-        rp = har_pooled_t(y1, y2, 6, 6)
-        rw = har_welch_t(y1, y2, 6, 6)
+        rp = har_pooled_t(*fits(y1, y2, 6, 6))
+        rw = har_welch_t(*fits(y1, y2, 6, 6))
         assert rw.statistic == pytest.approx(rp.statistic, rel=1e-12)
 
     def test_t_adjusted_p_dominates_normal_p(self, pair):
         y1, y2 = pair
-        rn = har_welch_t(y1, y2, 4, 4, reference=NORMAL)
-        rt = har_welch_t(y1, y2, 4, 4, reference=T_ADJUSTED)
+        rn = har_welch_t(*fits(y1, y2, 4, 4), reference=NORMAL)
+        rt = har_welch_t(*fits(y1, y2, 4, 4), reference=T_ADJUSTED)
         assert rt.p_value >= rn.p_value
         assert rt.detail["k_adf"] == rt.reference.df
 
@@ -217,17 +222,17 @@ class TestHarWelchT:
     def test_unknown_reference(self, pair):
         y1, y2 = pair
         with pytest.raises(DomainError):
-            har_welch_t(y1, y2, 3, 3, reference="bogus")
+            har_welch_t(*fits(y1, y2, 3, 3), reference="bogus")
 
     def test_one_zero_lrv_is_degenerate_only_for_adjusted_df(self, pair):
         # the adjusted df needs both LRVs positive; the normal reference does not
         constant = sample([2.0] * 20)
         y = pair[0]
-        rn = har_welch_t(constant, y, 1, 3, reference=NORMAL)
+        rn = har_welch_t(*fits(constant, y, 1, 3), reference=NORMAL)
         assert rn.detail["lrv1"] == 0.0 and rn.detail["lrv2"] > 0.0
         for y1, y2, k1, k2 in ((constant, y, 1, 3), (y, constant, 3, 1)):
             with pytest.raises(DegenerateSampleError, match="adjusted df"):
-                har_welch_t(y1, y2, k1, k2, reference=T_ADJUSTED)
+                har_welch_t(*fits(y1, y2, k1, k2), reference=T_ADJUSTED)
 
 
 class TestSharedInvariants:
@@ -236,10 +241,10 @@ class TestSharedInvariants:
         cases = [
             (classical_t(y1, y2), classical_t(y2, y1)),
             (welch_t(y1, y2), welch_t(y2, y1)),
-            (har_pooled_t(y1, y2, 5, 3), har_pooled_t(y2, y1, 3, 5)),
+            (har_pooled_t(*fits(y1, y2, 5, 3)), har_pooled_t(*fits(y2, y1, 3, 5))),
             (
-                har_welch_t(y1, y2, 5, 3),
-                har_welch_t(y2, y1, 3, 5),
+                har_welch_t(*fits(y1, y2, 5, 3)),
+                har_welch_t(*fits(y2, y1, 3, 5)),
             ),
         ]
         for fwd, rev in cases:
@@ -252,14 +257,14 @@ class TestSharedInvariants:
         rng = np.random.default_rng(11)
         a = rng.standard_normal(32)
         b = rng.standard_normal(24) + 0.5
-        base = har_welch_t(sample(a), sample(b), 3, 3)
-        scaled = har_welch_t(sample(c * a), sample(c * b), 3, 3)
+        base = har_welch_t(*fits(sample(a), sample(b), 3, 3))
+        scaled = har_welch_t(*fits(sample(c * a), sample(c * b), 3, 3))
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
         assert scaled.p_value == pytest.approx(base.p_value, rel=1e-8)
 
     def test_full_k_projection_vs_classical_share_sign(self, pair):
         y1, y2 = pair
-        rep_har = har_pooled_t(y1, y2, y1.max_k, y2.max_k)
+        rep_har = har_pooled_t(*fits(y1, y2, y1.max_k, y2.max_k))
         rep_cls = classical_t(y1, y2)
         assert math.isfinite(rep_har.statistic) and math.isfinite(rep_cls.statistic)
         assert math.copysign(1, rep_har.statistic) == math.copysign(
@@ -271,8 +276,8 @@ class TestSharedInvariants:
         for rep in (
             classical_t(y1, y2, 0.1),
             welch_t(y1, y2, 0.1),
-            har_pooled_t(y1, y2, 4, 4, 0.1),
-            har_welch_t(y1, y2, 4, 4, 0.1),
+            har_pooled_t(*fits(y1, y2, 4, 4), 0.1),
+            har_welch_t(*fits(y1, y2, 4, 4), 0.1),
         ):
             crit = t_quantile(1.0 - 0.1 / 2.0, rep.reference.df)
             assert rep.reject == (abs(rep.statistic) > crit)
