@@ -393,22 +393,7 @@ def _cmd_simulate(args) -> int:
     else:
         if args.t1 is None or args.t2 is None or args.rho is None:
             raise DomainError("explicit scenarios require --t1, --t2 and --rho")
-        scenarios = [
-            Scenario(
-                t1=args.t1,
-                t2=args.t2,
-                rho=args.rho,
-                sigma1=args.sigma1,
-                sigma2=args.sigma2,
-                error_law=args.law,
-                mu1=args.mu1,
-                a=args.a,
-                n_mc=args.n_mc,
-                n_boot=args.n_boot,
-                alpha=args.alpha,
-                seed=args.seed,
-            )
-        ]
+        scenarios = [Scenario(**{f.name: getattr(args, f.name) for f in fields(Scenario)})]
     stem = args.out if args.out is not None else "harmeans_table"
     text_path = f"{stem}.tsv"
     json_path = f"{stem}.json"
@@ -475,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho", type=float, default=None)
     p_sim.add_argument("--sigma1", type=float, default=1.0)
     p_sim.add_argument("--sigma2", type=float, default=1.0)
-    p_sim.add_argument("--law", choices=("normal", "chisq1"), default="normal")
+    p_sim.add_argument("--law", dest="error_law", choices=("normal", "chisq1"), default="normal")
     p_sim.add_argument("--mu1", type=float, default=5.0)
     p_sim.add_argument("--a", type=float, default=1.0,
                        help="mean multiplier: mu2 = a * mu1")
@@ -493,7 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, FileNotFoundError, DomainError) as exc:
+    except (IngestError, OSError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (DegenerateSampleError, DegenerateReplicatesError) as exc:

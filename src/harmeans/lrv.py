@@ -116,9 +116,9 @@ class TimeSeriesSample:
         if not np.all(np.isfinite(arr)):
             raise DomainError("sample contains non-finite values")
         arr = arr.copy()
-        with np.errstate(over="ignore"):  # an overflowing sum fails the energy check
+        with np.errstate(over="ignore"):  # an overflow here fails the energy check
             mean = float(arr.mean())
-        resid = arr - mean
+            resid = arr - mean
         arr.flags.writeable = False
         resid.flags.writeable = False
         return cls(values=arr, mean=mean, residuals=resid)

@@ -11,6 +11,9 @@ pair makes Var(eta_t) = 1 exactly for every t, while
 Cov(eta_t, eta_s) = K*^{-1} sum_l cos(2 pi l (t-s)/T) decays with the lag,
 so bootstrap samples inherit the dependence of the data.
 
+The observed statistic is the robust Welch statistic of ``t1_har_norm`` and
+``t1_har``, studentized by the same per-group series LRVs (one helper in
+``ttests`` computes it for all three); only the critical values differ.
 Both groups' bootstrap samples are generated around the pooled mean
 (T1 Ybar1 + T2 Ybar2)/(T1 + T2), which imposes the null of equal means, and
 each bootstrap replicate is studentized with the same per-group basis
@@ -35,7 +38,7 @@ from . import basis
 from .errors import DegenerateReplicatesError, DomainError
 from .lrv import LrvEstimate, TimeSeriesSample, _calling_thread_blas
 from .statdist import DistKind, RefDistribution
-from .ttests import NORMAL, TestReport, har_welch_t
+from .ttests import TestReport, _har_welch_statistic, _validate_alpha
 
 NORMAL_INNOVATIONS = "normal"
 RADEMACHER_INNOVATIONS = "rademacher"
@@ -94,13 +97,14 @@ def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
     return (y1.n * y1.mean + y2.n * y2.mean) / (y1.n + y2.n)
 
 
-def _operator(sample: TimeSeriesSample, k: int, k_star: int):
-    """The group's (w, A), with A scaled by T^{-1/2} so that the replicate's
-    LRV over T is the mean of (A v)^2."""
-    cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k_star)
-    w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k_star))
-    a = basis.modulated_coefficients(sample.spectrum, k, k_star)
-    a /= math.sqrt(sample.n * k_star)
+def _operator(lrv: LrvEstimate):
+    """The group's (w, A) for K* = K multiplier pairs, with A scaled by
+    T^{-1/2} so that the replicate's LRV over T is the mean of (A v)^2."""
+    sample, k = lrv.sample, lrv.k
+    cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k)
+    w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k))
+    a = basis.modulated_coefficients(sample.spectrum, k, k)
+    a /= math.sqrt(sample.n * k)
     return w, a
 
 
@@ -147,56 +151,47 @@ def shar_wb_test(
     """Wild-bootstrap two-sample mean test robust to serial dependence.
 
     Takes each group's series LRV estimate (``series_lrv``), whose basis
-    count K_j also sets the multipliers' K*_j.  The studentized statistic
-    comes from ``har_welch_t`` on those estimates; ``n_boot`` replicate
-    statistics with dependent multipliers follow, and the test rejects when
-    the statistic falls outside the empirical alpha/2 and 1-alpha/2
-    quantiles.  The reported p-value is the symmetric two-tailed one,
-    2*min(F*(t), 1-F*(t)).  Fully reproducible from ``seed``.
+    count K_j also sets the multipliers' K*_j.  The studentized statistic is
+    the one ``har_welch_t`` reports, taken from the same helper without a
+    reference p-value; ``n_boot`` replicate statistics with dependent
+    multipliers follow, and the test rejects when the statistic falls
+    outside the empirical alpha/2 and 1-alpha/2 quantiles.  The reported
+    p-value is the symmetric two-tailed one, 2*min(F*(t), 1-F*(t)).  Fully
+    reproducible from a non-negative ``seed``.
     """
     if n_boot < 19:
         raise DomainError(f"need at least 19 bootstrap replicates, got {n_boot}")
-    observed = har_welch_t(lrv1, lrv2, alpha, NORMAL)
-    stat = observed.statistic
-    y1, y2 = lrv1.sample, lrv2.sample
+    _validate_alpha(alpha)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    stat, detail = _har_welch_statistic(lrv1, lrv2)
     k1, k2 = lrv1.k, lrv2.k
-    k_star1, k_star2 = k1, k2
 
-    master = np.random.SeedSequence(seed)
-    ss_g1, ss_g2, ss_redraw = master.spawn(3)
-    rng1 = np.random.default_rng(ss_g1)
-    rng2 = np.random.default_rng(ss_g2)
-
-    op1 = _operator(y1, k1, k_star1)
-    op2 = _operator(y2, k2, k_star2)
+    ss_g1, ss_g2, ss_redraw = np.random.SeedSequence(seed).spawn(3)
+    op1, op2 = _operator(lrv1), _operator(lrv2)
     stats = _replicate_stats(
-        op1,
-        op2,
-        _draw_innovations(rng1, (2, k_star1, n_boot), law),
-        _draw_innovations(rng2, (2, k_star2, n_boot), law),
+        op1, op2,
+        _draw_innovations(np.random.default_rng(ss_g1), (2, k1, n_boot), law),
+        _draw_innovations(np.random.default_rng(ss_g2), (2, k2, n_boot), law),
     )
 
     n_redrawn = 0
     degenerate = np.flatnonzero(np.isnan(stats))
     if degenerate.size:
-        ss_r1, ss_r2 = ss_redraw.spawn(2)
-        rng_r1 = np.random.default_rng(ss_r1)
-        rng_r2 = np.random.default_rng(ss_r2)
+        rng_r1, rng_r2 = map(np.random.default_rng, ss_redraw.spawn(2))
         for idx in degenerate:
-            for attempt in range(_MAX_CONSECUTIVE_REDRAWS + 1):
-                if attempt == _MAX_CONSECUTIVE_REDRAWS:
-                    raise DegenerateReplicatesError(
-                        f"{_MAX_CONSECUTIVE_REDRAWS} consecutive degenerate "
-                        "bootstrap replicates; residuals too sparse for "
-                        f"law={law!r}"
-                    )
-                v1 = _draw_innovations(rng_r1, (2, k_star1), law)
-                v2 = _draw_innovations(rng_r2, (2, k_star2), law)
-                value = float(_replicate_stats(op1, op2, v1, v2))
+            for _ in range(_MAX_CONSECUTIVE_REDRAWS):
+                v1 = _draw_innovations(rng_r1, (2, k1), law)
+                v2 = _draw_innovations(rng_r2, (2, k2), law)
+                stats[idx] = _replicate_stats(op1, op2, v1, v2)
                 n_redrawn += 1
-                if not math.isnan(value):
-                    stats[idx] = value
+                if not math.isnan(stats[idx]):
                     break
+            else:
+                raise DegenerateReplicatesError(
+                    f"{_MAX_CONSECUTIVE_REDRAWS} consecutive degenerate "
+                    f"bootstrap replicates; residuals too sparse for law={law!r}"
+                )
 
     sorted_stats = np.sort(stats)
     crit_lo = _empirical_quantile(sorted_stats, alpha / 2.0)
@@ -213,8 +208,8 @@ def shar_wb_test(
         p_value=p_value,
         B=n_boot,
         seed=seed,
-        k_star1=k_star1,
-        k_star2=k_star2,
+        k_star1=k1,
+        k_star2=k2,
         K1=k1,
         K2=k2,
         n_redrawn=n_redrawn,
@@ -227,10 +222,10 @@ def shar_wb_test(
         alpha=alpha,
         reject=reject,
         detail={
-            **observed.detail,
-            "mu_pooled": _pooled_mean(y1, y2),
-            "k_star1": k_star1,
-            "k_star2": k_star2,
+            **detail,
+            "mu_pooled": _pooled_mean(lrv1.sample, lrv2.sample),
+            "k_star1": k1,
+            "k_star2": k2,
             "crit_lo": crit_lo,
             "crit_hi": crit_hi,
             "B": n_boot,

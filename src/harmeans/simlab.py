@@ -147,6 +147,8 @@ class Scenario:
             raise DomainError("n_boot must be >= 19")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def mu2(self) -> float:
@@ -304,17 +306,8 @@ def _text_table(results: list[CellResult]) -> str:
 
 
 def _json_payload(results: list[CellResult]) -> dict:
-    cells = [
-        {
-            "scenario": asdict(res.scenario),
-            "reject_counts": dict(res.reject_counts),
-            "rejection_rates": dict(res.rejection_rates),
-            "mc_standard_errors": dict(res.mc_standard_errors),
-            "n_completed": res.n_completed,
-            "n_excluded": res.n_excluded,
-        }
-        for res in results
-    ]
+    # every CellResult field but the runtime, which is not deterministic
+    cells = [{k: v for k, v in asdict(res).items() if k != "runtime"} for res in results]
     return {"version": __version__, "columns": list(TEST_COLUMNS), "cells": cells}
 
 

@@ -142,6 +142,17 @@ def k_adf(
     return num / den
 
 
+def _har_welch_statistic(lrv1: LrvEstimate, lrv2: LrvEstimate) -> tuple[float, dict]:
+    """The robust Welch statistic, studentized by the per-group series LRVs,
+    and its report detail; ``har_welch_t`` and the bootstrap both use it."""
+    y1, y2 = lrv1.sample, lrv2.sample
+    denom_sq = lrv1.omega / y1.n + lrv2.omega / y2.n
+    if denom_sq <= 0.0:
+        raise DegenerateSampleError("both long-run variances are zero")
+    stat = (y1.mean - y2.mean) / math.sqrt(denom_sq)
+    return stat, _detail(y1, y2, lrv1=lrv1.omega, lrv2=lrv2.omega, K1=lrv1.k, K2=lrv2.k)
+
+
 def har_welch_t(
     lrv1: LrvEstimate,
     lrv2: LrvEstimate,
@@ -160,21 +171,15 @@ def har_welch_t(
         raise DomainError(
             f"reference must be '{NORMAL}' or '{T_ADJUSTED}', got {reference!r}"
         )
-    y1, y2 = lrv1.sample, lrv2.sample
-    om1, om2 = lrv1.omega, lrv2.omega
-    detail = _detail(y1, y2, lrv1=om1, lrv2=om2, K1=lrv1.k, K2=lrv2.k)
-    t1, t2 = y1.n, y2.n
-    denom_sq = om1 / t1 + om2 / t2
-    if denom_sq <= 0.0:
-        raise DegenerateSampleError("both long-run variances are zero")
-    stat = (y1.mean - y2.mean) / math.sqrt(denom_sq)
+    stat, detail = _har_welch_statistic(lrv1, lrv2)
     if reference == NORMAL:
         ref = RefDistribution(DistKind.STANDARD_NORMAL)
         name = "t1_har_norm"
     else:
+        om1, om2 = lrv1.omega, lrv2.omega
         if om1 <= 0.0 or om2 <= 0.0:
             raise DegenerateSampleError("a long-run variance is zero; adjusted df undefined")
-        df = k_adf(om1, om2, t1, t2, lrv1.k, lrv2.k)
+        df = k_adf(om1, om2, lrv1.sample.n, lrv2.sample.n, lrv1.k, lrv2.k)
         ref = RefDistribution(DistKind.STUDENT_T, df=df)
         detail["k_adf"] = df
         detail["df"] = df

@@ -1,4 +1,4 @@
-"""The benchmark's traced-layer rule, checked on one small lab cell and one CLI call.
+"""The benchmark's traced-layer rule, checked on one small lab cell and two CLI calls.
 
 ``bench/run.py --trace 1`` refuses a run in which a traced layer that the
 program still defines records no calls (``check_trace``).  A change that
@@ -7,6 +7,7 @@ only in the traced benchmark run; these tests catch it in about a second.
 Each record is built the way ``bench/child.py`` builds it.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -65,3 +66,20 @@ def test_cli_call_records_every_traced_layer(bench, tmp_path):
     code, record = traced_record(tracer, "cli.main", main, argv)
     assert code == EXIT_OK
     assert run.check_trace(record, "test_ar") == []
+
+
+def test_grouped_cli_call_records_every_traced_layer(bench, tmp_path):
+    run, tracer = bench
+    rows = ["group,value"]
+    for label, name in (("a", "g1.csv"), ("b", "g2.csv")):
+        values = (GOLDEN / name).read_text(encoding="utf-8").split()[1:]  # past the header
+        rows += [f"{label},{v}" for v in values]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    argv = ["test", "--data", str(data), "--group-col", "group", "--value-col", "value",
+            "--B", "49", "--seed", "3", "--format", "json", "--out", str(out)]
+    code, record = traced_record(tracer, "cli.main", main, argv)
+    assert code == EXIT_OK
+    assert [g["n"] for g in json.loads(out.read_text())["groups"]] == [37, 85]
+    assert run.check_trace(record, "test_white") == []

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from harmeans.cli import (
 )
 from harmeans.errors import IngestError
 from harmeans.lrv import TimeSeriesSample, select_k, series_lrv
-from harmeans.simlab import simulate_series
+from harmeans.simlab import Scenario, simulate_series
 from harmeans.ttests import har_welch_t
 
 
@@ -478,6 +479,30 @@ class TestTestCommand:
             "error: sample values too large: residual sum of squares is not finite"
         ]
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would end as exit 4
+    def test_values_whose_residuals_overflow_give_one_error_line(self, tmp_path, capsys):
+        # the mean is finite; the residual of the first value is not
+        big = write(tmp_path / "big.csv", "1.7e308\n-1.7e308\n-1.7e308\n1\n1\n")
+        code = main(["test", "--y1", big, "--y2", big])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: sample values too large: residual sum of squares is not finite"
+        ]
+
+    def test_negative_seed_is_an_input_error(self, wfh_shape_files, capsys):
+        f1, f2 = wfh_shape_files
+        code = main(["test", "--y1", f1, "--y2", f2, "--B", "49", "--seed", "-1"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+    def test_out_path_that_is_a_directory_is_an_input_error(self, wfh_shape_files, tmp_path, capsys):
+        f1, f2 = wfh_shape_files
+        code = main(["test", "--y1", f1, "--y2", f2, "--B", "49", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
+
     def test_short_group_exit_input(self, tmp_path, capsys):
         f1 = write(tmp_path / "s1.csv", "1.0\n2.0\n3.0\n")
         f2 = write(tmp_path / "s2.csv", "1.0\n2.0\n3.0\n4.0\n5.0\n")
@@ -545,6 +570,28 @@ class TestSimulateCommand:
         payload = json.loads((tmp_path / "one.json").read_text())
         rates = payload["cells"][0]["rejection_rates"]
         assert all(0.0 <= v <= 1.0 for v in rates.values())
+
+    def test_every_scenario_flag_reaches_the_artifact(self, tmp_path, capsys):
+        stem = str(tmp_path / "all")
+        want = {"t1": 31, "t2": 27, "rho": 0.3, "sigma1": 1.5, "sigma2": 0.7,
+                "error_law": "chisq1", "mu1": 2.0, "a": 1.3, "n_mc": 3,
+                "n_boot": 21, "alpha": 0.1, "seed": 9}
+        code = main(["simulate", "--t1", "31", "--t2", "27", "--rho", "0.3",
+                     "--sigma1", "1.5", "--sigma2", "0.7", "--law", "chisq1",
+                     "--mu1", "2.0", "--a", "1.3", "--n-mc", "3", "--B", "21",
+                     "--alpha", "0.1", "--seed", "9", "--out", stem])
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "all.json").read_text())
+        assert payload["cells"][0]["scenario"] == want
+        assert set(want) == {f.name for f in fields(Scenario)}
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0",
+                     "--seed", "-1", "--out", str(tmp_path / "neg")])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert not (tmp_path / "neg.json").exists()
 
     def test_rerun_identical_artifacts(self, tmp_path, capsys):
         stems = [str(tmp_path / "r1"), str(tmp_path / "r2")]

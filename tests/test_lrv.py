@@ -53,8 +53,13 @@ class TestTimeSeriesSample:
         assert np.array_equal(s.spectrum, basis.dft(s.residuals))
 
     @pytest.mark.parametrize(
-        "values", [np.random.default_rng(1).standard_normal(30) * 1e200, [1.7e308] * 4],
-        ids=["squares", "mean"],
+        "values",
+        [
+            np.random.default_rng(1).standard_normal(30) * 1e200,
+            [1.7e308] * 4,
+            [1.7e308, -1.7e308, -1.7e308, 1.0, 1.0],
+        ],
+        ids=["squares", "mean", "residuals"],
     )
     @pytest.mark.filterwarnings("error")  # the DomainError is the only signal
     def test_finite_values_that_overflow_are_rejected(self, values):

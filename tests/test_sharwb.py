@@ -158,12 +158,12 @@ class TestReplicate:
         y1, y2 = fixed_pair
         v1 = np.zeros((2, 3))
         v2 = np.zeros((2, 3))
-        stat = _replicate_stats(_operator(y1, 3, 3), _operator(y2, 3, 3), v1, v2)
+        stat = _replicate_stats(*map(_operator, fits(y1, y2, 3, 3)), v1, v2)
         assert math.isnan(float(stat))
 
     def test_single_replicate_matches_batch_shape(self, fixed_pair):
         y1, y2 = fixed_pair
-        op1, op2 = _operator(y1, 4, 4), _operator(y2, 4, 4)
+        op1, op2 = map(_operator, fits(y1, y2, 4, 4))
         v1 = _draw_innovations(np.random.default_rng(1), (2, 4), "normal")
         v2 = _draw_innovations(np.random.default_rng(2), (2, 4), "normal")
         value = _replicate_stats(op1, op2, v1, v2)
@@ -236,7 +236,7 @@ class TestSharWbTest:
 
     def test_swap_antisymmetry_with_paired_streams(self, fixed_pair):
         y1, y2 = fixed_pair
-        op1, op2 = _operator(y1, 4, 4), _operator(y2, 3, 3)
+        op1, op2 = map(_operator, fits(y1, y2, 4, 3))
         for seed in range(6):
             v1 = _draw_innovations(np.random.default_rng(seed), (2, 4), "normal")
             v2 = _draw_innovations(np.random.default_rng(1000 + seed), (2, 3), "normal")
@@ -269,6 +269,8 @@ class TestSharWbTest:
             shar_wb_test(*fits(y1, y2), alpha=0.0, n_boot=99, seed=1)
         with pytest.raises(DomainError):
             shar_wb_test(*fits(y1, y2), n_boot=18, seed=1)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            shar_wb_test(*fits(y1, y2), n_boot=99, seed=-1)
 
     def test_degenerate_inputs_propagate(self):
         with pytest.raises(DegenerateSampleError):
@@ -332,7 +334,7 @@ class TestReplicateKernel:
         y1 = sample(rng.standard_normal(n))
         y2 = sample(2.0 * rng.standard_normal(n + 1) + 1.0)
         for k in sorted({1, 2, n // 2}):
-            op1, op2 = _operator(y1, k, k), _operator(y2, k, k)
+            op1, op2 = map(_operator, fits(y1, y2, k, k))
             for batch in ((), (64,)):
                 v1 = _draw_innovations(rng, (2, k, *batch), law)
                 v2 = _draw_innovations(rng, (2, k, *batch), law)
@@ -346,7 +348,7 @@ class TestReplicateKernel:
         rng = np.random.default_rng(k)
         y1 = sample(rng.standard_normal(80))
         y2 = sample(rng.standard_normal(64))
-        op1, op2 = _operator(y1, k, k), _operator(y2, k, k)
+        op1, op2 = map(_operator, fits(y1, y2, k, k))
         v1 = _draw_innovations(rng, (2, k, 49), "normal")
         v2 = _draw_innovations(rng, (2, k, 49), "normal")
         cases = [(v1, v2), (v1[..., 0], v2[..., 0])]
@@ -369,7 +371,7 @@ class TestReplicateKernel:
         rng = np.random.default_rng(60)
         y1 = sample(rng.standard_normal(2000))
         y2 = sample(3.0 * rng.standard_normal(1500))
-        op1, op2 = _operator(y1, 60, 60), _operator(y2, 60, 60)
+        op1, op2 = map(_operator, fits(y1, y2, 60, 60))
         v1 = _draw_innovations(rng, (2, 60, 399), "normal")
         v2 = _draw_innovations(rng, (2, 60, 399), "normal")
         before = get()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import harmeans.lrv as lrv_mod
+import harmeans.sharwb as sharwb_mod
 import harmeans.simlab as simlab_mod
 import harmeans.ttests as ttests_mod
 import oracles
@@ -113,8 +114,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(("k1", "k2"), [("auto", "auto"), (3, 5)])
     def test_analytic_tests_reuse_the_group_lrvs(self, monkeypatch, k1, k2):
-        calls = {"series_lrv": 0, "two_sided_p": 0}
-        for module in (simlab_mod, ttests_mod):
+        calls = {"series_lrv": 0, "har_welch_t": 0, "two_sided_p": 0}
+        for module in (simlab_mod, sharwb_mod, ttests_mod):
             for name in calls:
                 original = getattr(module, name, None)
                 if original is None:
@@ -128,9 +129,9 @@ class TestEvaluate:
         y1, y2 = wfh_pair()
         result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
         assert result.na == {}
-        # one LRV per group, which every robust test reads; shar_wb_test's
-        # own normal-reference statistic takes one more p-value
-        assert calls == {"series_lrv": 2, "two_sided_p": 6}
+        # one LRV per group, which every robust test reads; shar_wb_test
+        # shares har_welch_t's statistic without a report or p-value of its own
+        assert calls == {"series_lrv": 2, "har_welch_t": 2, "two_sided_p": 5}
 
     def test_variance_taken_once_per_group(self, monkeypatch):
         # with explicit K no AR(1) plug-in runs, so every residual product
@@ -226,6 +227,8 @@ class TestScenario:
             Scenario(t1=30, t2=30, rho=0.0, a=-1.0)
         with pytest.raises(DomainError):
             Scenario(t1=30, t2=30, rho=0.0, n_boot=5)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            Scenario(t1=30, t2=30, rho=0.0, seed=-1)
 
     def test_mu2(self):
         sc = Scenario(t1=30, t2=30, rho=0.0, mu1=5.0, a=1.2)
