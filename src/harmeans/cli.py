@@ -33,7 +33,9 @@ from .errors import (
     IngestError,
 )
 from .lrv import TimeSeriesSample, ljung_box
-from .simlab import PRESET_NAMES, TEST_COLUMNS, Scenario, evaluate, preset_scenarios, run_table
+from .simlab import (
+    ERROR_LAWS, PRESET_NAMES, TEST_COLUMNS, Scenario, evaluate, preset_scenarios, run_table
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -386,17 +388,21 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # the cell flags have no CLI default, so Scenario states every cell default
+    given = {f.name: getattr(args, f.name) for f in fields(Scenario)}
+    given = {name: value for name, value in given.items() if value is not None}
     if args.preset is not None:
+        cell_flags = [name for name in given if name not in ("n_mc", "n_boot", "seed")]
+        if cell_flags:
+            raise DomainError(f"--preset fixes every cell field; got {', '.join(cell_flags)}")
         scenarios = preset_scenarios(
             args.preset, n_mc=args.n_mc, n_boot=args.n_boot, seed=args.seed
         )
     else:
         if args.t1 is None or args.t2 is None or args.rho is None:
             raise DomainError("explicit scenarios require --t1, --t2 and --rho")
-        scenarios = [Scenario(**{f.name: getattr(args, f.name) for f in fields(Scenario)})]
-    stem = args.out if args.out is not None else "harmeans_table"
-    text_path = f"{stem}.tsv"
-    json_path = f"{stem}.json"
+        scenarios = [Scenario(**given)]
+    text_path, json_path = f"{args.out}.tsv", f"{args.out}.json"
 
     def _progress(cell):
         sc = cell.scenario
@@ -411,16 +417,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _k_value(raw: str):
-    if raw == "auto":
-        return "auto"
+def _count(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError("basis count must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _k_value(raw: str):
+    return "auto" if raw == "auto" else _count(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="basis count for group 1 (integer or 'auto')")
     p_test.add_argument("--k2", type=_k_value, default="auto",
                         help="basis count for group 2 (integer or 'auto')")
-    p_test.add_argument("--lb-lag", type=int, default=10,
+    p_test.add_argument("--lb-lag", type=_count, default=10,
                         help="Ljung-Box lag (default 10)")
     p_test.add_argument("--format", choices=("text", "json"), default="text")
     p_test.add_argument("--out", default=None, help="write the report here")
@@ -455,20 +463,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run Monte Carlo size/power cells")
     p_sim.add_argument("--preset", choices=PRESET_NAMES, default=None)
-    p_sim.add_argument("--t1", type=int, default=None)
-    p_sim.add_argument("--t2", type=int, default=None)
-    p_sim.add_argument("--rho", type=float, default=None)
-    p_sim.add_argument("--sigma1", type=float, default=1.0)
-    p_sim.add_argument("--sigma2", type=float, default=1.0)
-    p_sim.add_argument("--law", dest="error_law", choices=("normal", "chisq1"), default="normal")
-    p_sim.add_argument("--mu1", type=float, default=5.0)
-    p_sim.add_argument("--a", type=float, default=1.0,
-                       help="mean multiplier: mu2 = a * mu1")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
+    p_sim.add_argument("--t1", type=int)
+    p_sim.add_argument("--t2", type=int)
+    p_sim.add_argument("--rho", type=float)
+    p_sim.add_argument("--sigma1", type=float)
+    p_sim.add_argument("--sigma2", type=float)
+    p_sim.add_argument("--law", dest="error_law", choices=ERROR_LAWS)
+    p_sim.add_argument("--mu1", type=float)
+    p_sim.add_argument("--a", type=float, help="mean multiplier: mu2 = a * mu1")
+    p_sim.add_argument("--alpha", type=float)
     p_sim.add_argument("--n-mc", type=int, default=2000)
     p_sim.add_argument("--B", dest="n_boot", type=int, default=199)
     p_sim.add_argument("--seed", type=int, default=2023)
-    p_sim.add_argument("--out", default=None, help="artifact path stem")
+    p_sim.add_argument("--out", default="harmeans_table", help="artifact path stem")
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 

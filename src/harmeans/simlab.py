@@ -35,6 +35,7 @@ from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, 
 
 NORMAL_ERRORS = "normal"
 CHISQ1_ERRORS = "chisq1"
+ERROR_LAWS = (NORMAL_ERRORS, CHISQ1_ERRORS)
 
 # Report column order for the six tests.
 TEST_COLUMNS = ("t0", "t1", "t0_har", "t1_har_norm", "t1_har", "t1_har_boot")
@@ -135,9 +136,14 @@ class Scenario:
             raise DomainError("scenario sample sizes must be >= 4")
         if not abs(self.rho) < 1.0:
             raise DomainError(f"|rho| must be < 1, got {self.rho}")
+        for name in ("sigma1", "sigma2", "mu1", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.mu2):
+            raise DomainError(f"mu2 = a * mu1 overflows: a={self.a}, mu1={self.mu1}")
         if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
             raise DomainError("sigmas must be positive")
-        if self.error_law not in (NORMAL_ERRORS, CHISQ1_ERRORS):
+        if self.error_law not in ERROR_LAWS:
             raise DomainError(f"unknown error law {self.error_law!r}")
         if self.a <= 0.0:
             raise DomainError("mean multiplier a must be positive")
@@ -311,82 +317,59 @@ def _json_payload(results: list[CellResult]) -> dict:
     return {"version": __version__, "columns": list(TEST_COLUMNS), "cells": cells}
 
 
-def run_table(
-    scenarios: list[Scenario],
-    text_path=None,
-    json_path=None,
-    progress=None,
-) -> list[CellResult]:
-    """Run a scenario grid; optionally write the text and JSON artifacts."""
+def run_table(scenarios: list[Scenario], text_path, json_path, progress=None) -> list[CellResult]:
+    """Run a scenario grid and write its text and JSON artifacts.
+
+    Both files are opened before the first cell, so an unwritable path fails
+    before any work, and are emptied only once every cell has run, so an
+    interrupted or failed run leaves earlier artifacts as they were.
+    """
     if not scenarios:
         raise DomainError("scenario grid is empty")
-    results = []
-    for scenario in scenarios:
-        results.append(run_cell(scenario))
-        if progress is not None:
-            progress(results[-1])
-    if text_path is not None:
-        with open(text_path, "w", encoding="utf-8") as fh:
-            fh.write(_text_table(results))
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(_json_payload(results), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(text_path, "a", encoding="utf-8") as text_fh, open(
+        json_path, "a", encoding="utf-8"
+    ) as json_fh:
+        results = []
+        for scenario in scenarios:
+            results.append(run_cell(scenario))
+            if progress is not None:
+                progress(results[-1])
+        text_fh.truncate(0)
+        text_fh.write(_text_table(results))
+        json_fh.truncate(0)
+        json.dump(_json_payload(results), json_fh, indent=2, sort_keys=True)
+        json_fh.write("\n")
     return results
 
 
-# Desk-scale preset grids.  Size tables use three sample-size pairs (small,
-# moderate, unbalanced) under each serial-correlation level; the power table
-# uses the two larger sizes where the robust tests hold size.
+# Desk-scale preset grids: name -> (error law, (sigma1, sigma2), T pairs, mean
+# multipliers a), each swept over _RHOS.  Size tables use three sample-size
+# pairs (small, moderate, unbalanced); the power table uses the two larger
+# sizes where the robust tests hold size.
 _SIZE_PAIRS = ((30, 30), (200, 200), (100, 80))
-_POWER_PAIRS = ((200, 200), (400, 400))
 _RHOS = (0.0, 0.5, 0.8)
 UNEQUAL_SIGMAS = (0.06, 0.18)
-
-PRESET_NAMES = (
-    "table1-desk",
-    "table2-desk",
-    "table3-desk",
-    "table4-desk",
-    "table5-desk",
-)
+_PRESETS = {
+    "table1-desk": (NORMAL_ERRORS, (1.0, 1.0), _SIZE_PAIRS, (1.0,)),
+    "table2-desk": (NORMAL_ERRORS, UNEQUAL_SIGMAS, _SIZE_PAIRS, (1.0,)),
+    "table3-desk": (CHISQ1_ERRORS, (1.0, 1.0), _SIZE_PAIRS, (1.0,)),
+    "table4-desk": (CHISQ1_ERRORS, UNEQUAL_SIGMAS, _SIZE_PAIRS, (1.0,)),
+    "table5-desk": (NORMAL_ERRORS, (1.0, 1.0), ((200, 200), (400, 400)), (1.1, 1.2)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_scenarios(
     name: str, n_mc: int = 2000, n_boot: int = 199, seed: int = 2023
 ) -> list[Scenario]:
     """Named desk-scale scenario grids mirroring the size/power experiments."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise DomainError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    common = {"n_mc": n_mc, "n_boot": n_boot}
-    scenarios = []
-    if name == "table5-desk":
-        for rho in _RHOS:
-            for t1, t2 in _POWER_PAIRS:
-                for a in (1.1, 1.2):
-                    scenarios.append(
-                        Scenario(
-                            t1=t1, t2=t2, rho=rho, a=a, seed=seed, **common
-                        )
-                    )
-        return scenarios
-    law = NORMAL_ERRORS if name in ("table1-desk", "table2-desk") else CHISQ1_ERRORS
-    if name in ("table2-desk", "table4-desk"):
-        sigma1, sigma2 = UNEQUAL_SIGMAS
-    else:
-        sigma1 = sigma2 = 1.0
-    for rho in _RHOS:
-        for t1, t2 in _SIZE_PAIRS:
-            scenarios.append(
-                Scenario(
-                    t1=t1,
-                    t2=t2,
-                    rho=rho,
-                    sigma1=sigma1,
-                    sigma2=sigma2,
-                    error_law=law,
-                    seed=seed,
-                    **common,
-                )
-            )
-    return scenarios
+    law, (sigma1, sigma2), pairs, multipliers = _PRESETS[name]
+    return [
+        Scenario(t1=t1, t2=t2, rho=rho, sigma1=sigma1, sigma2=sigma2, error_law=law,
+                 a=a, n_mc=n_mc, n_boot=n_boot, seed=seed)
+        for rho in _RHOS
+        for t1, t2 in pairs
+        for a in multipliers
+    ]

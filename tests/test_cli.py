@@ -1,6 +1,7 @@
 """Command-line interface: ingestion, reports, exit codes, simulate artifacts."""
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -20,7 +21,7 @@ from harmeans.cli import (
 )
 from harmeans.errors import IngestError
 from harmeans.lrv import TimeSeriesSample, select_k, series_lrv
-from harmeans.simlab import Scenario, simulate_series
+from harmeans.simlab import PRESET_NAMES, Scenario, simulate_series
 from harmeans.ttests import har_welch_t
 
 
@@ -503,6 +504,14 @@ class TestTestCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
 
+    @pytest.mark.parametrize("lag", ["0", "-3"])
+    def test_lb_lag_below_one_is_a_usage_error(self, wfh_shape_files, capsys, lag):
+        f1, f2 = wfh_shape_files
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--y1", f1, "--y2", f2, "--lb-lag", lag])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument --lb-lag: must be >= 1, got {lag}" in capsys.readouterr().err
+
     def test_short_group_exit_input(self, tmp_path, capsys):
         f1 = write(tmp_path / "s1.csv", "1.0\n2.0\n3.0\n")
         f2 = write(tmp_path / "s2.csv", "1.0\n2.0\n3.0\n4.0\n5.0\n")
@@ -551,7 +560,85 @@ class TestTestCommand:
         assert code == EXIT_INPUT
 
 
+# sha256 of the (.tsv, .json) artifacts, recorded before the presets became
+# one table and the cell flags lost their CLI defaults
+PINNED_ARTIFACTS = {
+    "table1-desk": ("8ab7e9f2bf934fbf3d337144154ed2b2f1a78691519e075e11c38bc649925c7c",
+                    "f3757ddc77de899e1167eec40c65a2955499b44dfa62341d21728334a97f09d8"),
+    "table2-desk": ("6a652c719f2e65887b86453dab143c30dcea7085678b6d4380fc1beaf0458240",
+                    "228ff188a5e8a04d8088cafd1e0db26207df581f36a88f89409aed44a2804a87"),
+    "table3-desk": ("20851b600d471117eda518d1384862d02384d05a882b3f86b451e913499d8c19",
+                    "02557f58b990d3a00d04c1393ff898dc17ae7d9ab5183ee6d765fc6ec9fa28ca"),
+    "table4-desk": ("a25c91af85e44dab2ddd284890f482814a49d7e6f75489791efaa34eb59bb17d",
+                    "55a14c9101b7e403130ea380399a72057057c8a9103420efd1360a7d03ae9e99"),
+    "table5-desk": ("ec95c0e3ec1eb52353c6ebae98bf875c10d2671381226e13bfeb168578ec9395",
+                    "c7f5d8aa4cb8787f19cc43c94c28de7de8f09c9835853e7d98f2fdb48f5d72ae"),
+    "explicit": ("7a479368ab242c4e2bc0683fa942dd0fed74177d85178780d0e0ac567ce9e455",
+                 "526f4957756e0b9da54b65ac4aa4d6e662766eb22d362534868af477851e6de3"),
+}
+
+
+def assert_artifacts_pinned(stem: Path, name: str) -> None:
+    got = tuple(hashlib.sha256(stem.with_suffix(ext).read_bytes()).hexdigest()
+                for ext in (".tsv", ".json"))
+    assert got == PINNED_ARTIFACTS[name], (
+        f"{name}: the simulate artifacts changed; if the change is deliberate, "
+        "record it in CHANGES.md and update PINNED_ARTIFACTS"
+    )
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_artifacts_are_pinned(self, tmp_path, capsys, preset):
+        code = main(["simulate", "--preset", preset, "--n-mc", "2", "--B", "19",
+                     "--seed", "7", "--out", str(tmp_path / "pin")])
+        assert code == EXIT_OK
+        assert_artifacts_pinned(tmp_path / "pin", preset)
+
+    def test_explicit_artifacts_are_pinned(self, tmp_path, capsys):
+        # no optional flag: pins Scenario's defaults to the former CLI defaults
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0.5", "--n-mc", "3",
+                     "--B", "19", "--out", str(tmp_path / "pin")])
+        assert code == EXIT_OK
+        assert_artifacts_pinned(tmp_path / "pin", "explicit")
+
+    def test_default_out_stem(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0", "--n-mc", "2",
+                     "--B", "19"])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "harmeans_table.json", "harmeans_table.tsv"]
+
+    def test_unwritable_out_fails_before_any_cell(self, tmp_path, capsys):
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0", "--n-mc", "2",
+                     "--B", "19", "--out", str(tmp_path / "missing" / "x")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+
+    def test_preset_with_a_cell_flag_is_an_input_error(self, tmp_path, capsys):
+        code = main(["simulate", "--preset", "table5-desk", "--alpha", "0.2",
+                     "--out", str(tmp_path / "p")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "alpha" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(("flags", "field"), [
+        (["--sigma1", "nan"], "sigma1"),
+        (["--sigma1", "inf"], "sigma1"),
+        (["--a", "inf"], "a"),
+        (["--mu1", "1e308", "--a", "10"], "mu2 = a * mu1"),
+    ], ids=["sigma1-nan", "sigma1-inf", "a-inf", "mu2-overflow"])
+    def test_non_finite_cell_flag_is_an_input_error(self, tmp_path, capsys, flags, field):
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0", *flags,
+                     "--n-mc", "2", "--B", "19", "--out", str(tmp_path / "nf")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_preset_artifact_shape(self, tmp_path, capsys):
         stem = str(tmp_path / "t1")
         code = main(["simulate", "--preset", "table1-desk", "--n-mc", "6",

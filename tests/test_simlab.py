@@ -229,6 +229,12 @@ class TestScenario:
             Scenario(t1=30, t2=30, rho=0.0, n_boot=5)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             Scenario(t1=30, t2=30, rho=0.0, seed=-1)
+        for field_name, value in [("sigma1", math.nan), ("sigma2", math.inf),
+                                  ("mu1", -math.inf), ("mu1", math.nan), ("a", math.inf)]:
+            with pytest.raises(DomainError, match=f"^{field_name} must be finite"):
+                Scenario(t1=30, t2=30, rho=0.0, **{field_name: value})
+        with pytest.raises(DomainError, match=r"^mu2 = a \* mu1 overflows"):
+            Scenario(t1=30, t2=30, rho=0.0, mu1=1e308, a=10.0)
 
     def test_mu2(self):
         sc = Scenario(t1=30, t2=30, rho=0.0, mu1=5.0, a=1.2)
@@ -348,7 +354,7 @@ class TestRunTable:
         sc = Scenario(t1=30, t2=30, rho=0.0, seed=7, **FAST)
         text_path = tmp_path / "cell.tsv"
         json_path = tmp_path / "cell.json"
-        results = run_table([sc], text_path=text_path, json_path=json_path)
+        results = run_table([sc], text_path, json_path)
         assert len(results) == 1
         lines = text_path.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one data row
@@ -363,9 +369,48 @@ class TestRunTable:
         assert cell["n_excluded"] == 0
         assert set(cell["reject_counts"]) == set(TEST_COLUMNS)
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            run_table([])
+            run_table([], tmp_path / "empty.tsv", tmp_path / "empty.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_earlier_artifacts_unchanged(self, tmp_path, monkeypatch):
+        grid = [Scenario(t1=30, t2=30, rho=rho, seed=7, n_mc=4, n_boot=19) for rho in (0.0, 0.5)]
+        text_path, json_path = tmp_path / "grid.tsv", tmp_path / "grid.json"
+        run_table(grid, text_path, json_path)
+        before = text_path.read_bytes(), json_path.read_bytes()
+        original, calls = simlab_mod.run_cell, []
+
+        def second_cell_fails(scenario):
+            calls.append(scenario)
+            if len(calls) == 2:
+                raise RuntimeError("cell failed")
+            return original(scenario)
+
+        monkeypatch.setattr(simlab_mod, "run_cell", second_cell_fails)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_table(grid, text_path, json_path)
+        assert len(calls) == 2
+        assert (text_path.read_bytes(), json_path.read_bytes()) == before
+
+    def test_rerun_replaces_a_longer_artifact(self, tmp_path):
+        grid = [Scenario(t1=30, t2=30, rho=rho, seed=7, n_mc=4, n_boot=19) for rho in (0.0, 0.5)]
+        run_table(grid[:1], tmp_path / "fresh.tsv", tmp_path / "fresh.json")
+        run_table(grid, tmp_path / "x.tsv", tmp_path / "x.json")
+        run_table(grid[:1], tmp_path / "x.tsv", tmp_path / "x.json")
+        for ext in (".tsv", ".json"):
+            assert (tmp_path / f"x{ext}").read_bytes() == (tmp_path / f"fresh{ext}").read_bytes()
+
+    def test_unwritable_path_fails_before_the_first_cell(self, tmp_path, monkeypatch):
+        def no_cell(scenario):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(simlab_mod, "run_cell", no_cell)
+        sc = Scenario(t1=30, t2=30, rho=0.0, **FAST)
+        with pytest.raises(FileNotFoundError):
+            run_table([sc], tmp_path / "missing" / "x.tsv", tmp_path / "x.json")
+        with pytest.raises(FileNotFoundError):
+            run_table([sc], tmp_path / "x.tsv", tmp_path / "missing" / "x.json")
 
     def test_preset_shapes(self):
         grid1 = preset_scenarios("table1-desk", n_mc=10, n_boot=29)
@@ -396,7 +441,7 @@ class TestRunTable:
     def test_desk_grid_runs_structurally(self, tmp_path):
         grid = preset_scenarios("table1-desk", n_mc=5, n_boot=29)
         text_path = tmp_path / "t1.tsv"
-        results = run_table(grid, text_path=text_path)
+        results = run_table(grid, text_path, tmp_path / "t1.json")
         assert len(results) == 9
         lines = text_path.read_text().strip().splitlines()
         assert len(lines) == 10
