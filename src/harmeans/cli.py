@@ -19,9 +19,8 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import fields
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -45,53 +44,44 @@ EXIT_INTERNAL = 4
 _MIN_GROUP_LEN = 4
 
 
-def _csv_rows(
-    lines: list[str], line_nos: Sequence[int], *dialect
-) -> tuple[list[list[str]], Sequence[int]]:
-    rows = list(csv.reader(lines, *dialect))
-    if len(rows) == len(lines):
-        return rows, line_nos
-    # a quoted cell spanned lines: number each row by the line it starts on
-    reader = csv.reader(lines, *dialect)
-    starts, consumed = [], 0
-    for _ in reader:
-        starts.append(line_nos[consumed])
-        consumed = reader.line_num
-    return rows, starts
-
-
-def _read_rows(path: str) -> tuple[list[list[str]], Sequence[int]]:
-    """The delimited rows of the non-blank lines, with each row's file line number.
-
-    Cells are not stripped; the readers strip the header and the cells they use.
-    """
+def _lines(path: str, count: int | None = None) -> list[tuple[int, str]]:
+    """The first count non-blank lines, or all, with their file line numbers.  A line
+    ends at \\n, \\r\\n or \\r, as for np.loadtxt, and keeps its ending for quoted cells."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
+            return list(islice(((no, ln) for no, ln in enumerate(fh, 1) if ln.strip()), count))
     except OSError as exc:
         raise IngestError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
         ) from exc
-    # keep the line endings, so that a quoted cell keeps its line break
-    lines = text.splitlines(keepends=True)
-    line_nos = range(1, len(lines) + 1)
-    if not all(map(str.strip, lines)):
-        line_nos = [no for no, ln in zip(line_nos, lines) if ln.strip()]
-        lines = [lines[no - 1] for no in line_nos]
-    if not line_nos:
-        raise IngestError(f"{path}: file is empty")
-    sample = "".join(lines[:20])
+
+
+def _dialect(head: list[tuple[int, str]]):
+    """The csv dialect of the first lines, or None to split on whitespace."""
+    sample = "".join(ln for _, ln in head)
     if any(d in sample for d in ",;\t"):
         try:
-            return _csv_rows(lines, line_nos, csv.Sniffer().sniff(sample, delimiters=",;\t"))
+            return csv.Sniffer().sniff(sample, delimiters=",;\t")
         except csv.Error:
             # fall back to comma, then whitespace
-            if "," in lines[0]:
-                return _csv_rows(lines, line_nos)
+            if "," in head[0][1]:
+                return csv.excel
     # no delimiter in the sample, so the sniff could only fail
-    return [ln.split() for ln in lines], line_nos
+    return None
+
+
+def _rows(lines: list[tuple[int, str]], dialect) -> list[tuple[int, list[str]]]:
+    """Each row's unstripped cells, numbered by the file line it starts on."""
+    if dialect is None:
+        return [(no, ln.split()) for no, ln in lines]
+    reader = csv.reader((ln for _, ln in lines), dialect)
+    rows, consumed = [], 0
+    for cells in reader:
+        rows.append((lines[consumed][0], cells))
+        consumed = reader.line_num
+    return rows
 
 
 def _is_number(cell: str) -> bool:
@@ -105,17 +95,18 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _split_header(
-    rows: list[list[str]], line_nos: Sequence[int], path: str, label_idx=None
-) -> tuple[list[str] | None, list[list[str]], Sequence[int]]:
-    """Detect an optional header row; returns (header, data_rows, their line numbers)."""
-    first = [cell.strip() for cell in rows[0]]
+def _layout(rows, path: str, selectors):
+    """The data rows after an optional header, and each selector's column index."""
+    first = [cell.strip() for cell in rows[0][1]]
     # a group label is text in a data row too, so its column cannot mark a header
-    if any(not _is_number(c) for i, c in enumerate(first) if c != "" and i != label_idx):
-        if len(rows) == 1:
-            raise IngestError(f"{path}: contains a header but no data rows")
-        return first, rows[1:], line_nos[1:]
-    return None, rows, line_nos
+    label_idx = _as_index(selectors[0]) if len(selectors) == 2 else None
+    titled = any(not _is_number(c) for i, c in enumerate(first) if c != "" and i != label_idx)
+    header = first if titled else None
+    if titled and len(rows) == 1:
+        raise IngestError(f"{path}: contains a header but no data rows")
+    data = rows[header is not None:]
+    width = max(len(cells) for _, cells in data)
+    return data, [_column_index(s, header, width, path) for s in selectors]
 
 
 def _as_index(selector) -> int | None:
@@ -134,9 +125,7 @@ def _column_index(selector, header: list[str] | None, width: int, path: str) -> 
             raise IngestError(f"{path}: column index {idx} out of range (width {width})")
         return idx
     if header is None:
-        raise IngestError(
-            f"{path}: column name {selector!r} given but the file has no header"
-        )
+        raise IngestError(f"{path}: column name {selector!r} given but the file has no header")
     if selector not in header:
         raise IngestError(f"{path}: no column named {selector!r} in header {header}")
     return header.index(selector)
@@ -154,63 +143,64 @@ def _parse_cell(row: list[str], idx: int, row_no: int, path: str) -> float:
     return value
 
 
-def _parse_column(
-    data: list[list[str]], idx: int, line_nos: Sequence[int], path: str
-) -> np.ndarray:
-    """Column idx of the data rows as floats, by the rule of ``_parse_cell``.
+def _quotes_differ(path: str, dialect) -> bool:
+    """Whether np.loadtxt may read the file's quotes unlike the dialect: it reads
+    a doubled quote in a quoted cell as one quote, and a quote after a space as text."""
+    q = dialect.quotechar.encode()
+    marks = [q + q] * (not dialect.doublequote) + [b" " + q] * dialect.skipinitialspace
+    with open(path, "rb") as fh:
+        text = b""
+        while marks and (chunk := fh.read(1 << 16)):
+            text = text[-1:] + chunk
+            if any(mark in text for mark in marks):
+                return True
+    return False
 
-    The column is checked and parsed in bulk.  float() strips the ASCII
-    spaces that strip() would, raises on an empty cell, and parses as
-    ``_parse_cell`` does, so a column that passes is read bit for bit as the
-    per-cell rule reads it.  Any other column goes through ``_parse_cell``
-    row by row, which names its first fault.
-    """
+
+def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
+    """The data rows' floats in the last selected column and, given two, their
+    stripped labels in the first.  np.loadtxt reads them in C; only when it
+    declines the layout, or returns a value that is not finite or an empty
+    label, are the rows read in Python, cell by cell, to name the first fault."""
+    head = _lines(path, 20)
+    if not head:
+        raise IngestError(f"{path}: file is empty")
+    dialect = _dialect(head)
     try:
-        cells = list(map(itemgetter(idx), data))
-        joined = "".join(cells)
-        if joined.isascii() and "_" not in joined:
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
-            if np.isfinite(values).all():
-                return values
-    except (IndexError, ValueError):
+        data, idx = _layout(_rows(head, dialect), path, selectors)
+        if dialect is None or not _quotes_differ(path, dialect):
+            quoting = {} if dialect is None else {
+                "delimiter": dialect.delimiter, "quotechar": dialect.quotechar}
+            table = np.loadtxt(
+                path, [("g", object), ("v", np.float64)][-len(idx):], comments=None,
+                usecols=idx, skiprows=data[0][0] - 1, ndmin=1, encoding="utf-8-sig", **quoting
+            )
+            labels = [label.strip() for label in table["g"].tolist()] if len(idx) == 2 else []
+            if np.isfinite(table["v"]).all() and "" not in labels:
+                return table["v"], labels
+    except ValueError:
         pass
-    return np.array(
-        [_parse_cell(row, idx, no, path) for row, no in zip(data, line_nos)],
-        dtype=np.float64,
-    )
+    data, idx = _layout(_rows(_lines(path), dialect), path, selectors)
+    values = []
+    for no, cells in data:
+        if len(idx) == 2 and (idx[0] >= len(cells) or cells[idx[0]].strip() == ""):
+            raise IngestError(f"{path}: row {no}: missing group label")
+        values.append(_parse_cell(cells, idx[-1], no, path))
+    labels = [cells[idx[0]].strip() for _, cells in data] if len(idx) == 2 else []
+    return np.array(values, dtype=np.float64), labels
 
 
 def read_series(path: str, column=None) -> np.ndarray:
     """Read one numeric column from a delimited file, rows in time order."""
-    rows, line_nos = _read_rows(path)
-    header, data, line_nos = _split_header(rows, line_nos, path)
-    idx = _column_index(column, header, max(map(len, data)), path)
-    return _parse_column(data, idx, line_nos, path)
+    return _read(path, (column,))[0]
 
 
 def read_grouped(path: str, group_col, value_col) -> tuple[np.ndarray, np.ndarray]:
     """Split one file into two series by a group column, keeping row order."""
-    rows, line_nos = _read_rows(path)
-    header, data, line_nos = _split_header(rows, line_nos, path, _as_index(group_col))
-    width = max(map(len, data))
-    g_idx = _column_index(group_col, header, width, path)
-    v_idx = _column_index(value_col, header, width, path)
-    try:
-        labels = list(map(str.strip, map(itemgetter(g_idx), data)))
-    except IndexError:
-        labels = [""]
-    if "" in labels:
-        # a label is missing: name the first fault in row order
-        for row, no in zip(data, line_nos):
-            if g_idx >= len(row) or row[g_idx].strip() == "":
-                raise IngestError(f"{path}: row {no}: missing group label")
-            _parse_cell(row, v_idx, no, path)
-    values = _parse_column(data, v_idx, line_nos, path)
+    values, labels = _read(path, (group_col, value_col))
     order = list(dict.fromkeys(labels))
     if len(order) != 2:
-        raise IngestError(
-            f"{path}: expected exactly 2 group labels, found {len(order)}: {order}"
-        )
+        raise IngestError(f"{path}: expected exactly 2 group labels, found {len(order)}: {order}")
     first = np.fromiter(map(order[0].__eq__, labels), bool, len(labels))
     return values[first], values[~first]
 
@@ -394,7 +384,8 @@ def _cmd_simulate(args) -> int:
     if args.preset is not None:
         cell_flags = [name for name in given if name not in ("n_mc", "n_boot", "seed")]
         if cell_flags:
-            raise DomainError(f"--preset fixes every cell field; got {', '.join(cell_flags)}")
+            flags = ("--law" if name == "error_law" else f"--{name}" for name in cell_flags)
+            raise DomainError(f"--preset fixes every cell field; got {', '.join(flags)}")
         scenarios = preset_scenarios(
             args.preset, n_mc=args.n_mc, n_boot=args.n_boot, seed=args.seed
         )

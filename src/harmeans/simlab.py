@@ -143,6 +143,14 @@ class Scenario:
             raise DomainError(f"mu2 = a * mu1 overflows: a={self.a}, mu1={self.mu1}")
         if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
             raise DomainError("sigmas must be positive")
+        for j, mu in ((1, self.mu1), (2, self.mu2)):
+            sigma, t = getattr(self, f"sigma{j}"), getattr(self, f"t{j}")
+            # margin: the tests square sums of t squares of values within 100 sigma of mu
+            energy = 4.0 * t * (abs(mu) + 100.0 * sigma) * (abs(mu) + 100.0 * sigma)
+            if not math.isfinite(energy * energy):
+                name = f"sigma{j}" if 100.0 * sigma > abs(mu) else ("mu1", "mu2 = a * mu1")[j - 1]
+                raise DomainError(
+                    f"{name} too large: (4 t{j} (|mu{j}| + 100 sigma{j})^2)^2 overflows")
         if self.error_law not in ERROR_LAWS:
             raise DomainError(f"unknown error law {self.error_law!r}")
         if self.a <= 0.0:

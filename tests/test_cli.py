@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -157,19 +158,31 @@ class TestSniff:
             "value\n" + "".join(f"{i}.25\n" for i in range(40)) + "x,y\n",
         ],
     )
-    def test_sample_without_a_delimiter_is_split_on_whitespace(self, tmp_path, sniffs, text):
+    def test_sample_without_a_delimiter_is_split_on_whitespace(
+        self, tmp_path, monkeypatch, sniffs, text
+    ):
         # the sniff could only fail on such a sample, and then the rows
         # were the whitespace split; they still are, without the sniff
         lines = [ln for ln in text.splitlines(keepends=True) if ln.strip()]
         with pytest.raises(csv.Error):
             csv.Sniffer().sniff("".join(lines[:20]), delimiters=",;\t")
         sniffs.clear()
-        rows, line_nos = cli._read_rows(write(tmp_path / "one.csv", text))
+        for tail in ("", "\noops 1\n"):
+            path = write(tmp_path / "one.csv", text + tail)
+            # the whitespace rows, numbered by file line, give every column's outcome
+            rows = [(no, ln.split()) for no, ln in enumerate((text + tail).splitlines(), 1)
+                    if ln.strip()]
+            if isinstance(_per_cell_rule(path, [(1, cell) for cell in rows[0][1]]), str):
+                rows = rows[1:]  # a header
+            for column in range(max(len(cells) for _, cells in rows)):
+                cells = [(no, row[column] if column < len(row) else SHORT) for no, row in rows]
+                want = _per_cell_rule(path, cells, column)
+                want = want if isinstance(want, str) else _outcome(np.array, want)
+                assert _outcome(read_series, path, str(column)) == want
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli.np, "loadtxt", _declined)
+                    assert _outcome(read_series, path, str(column)) == want
         assert sniffs == []
-        assert rows == [ln.split() for ln in lines]
-        assert list(line_nos) == [
-            no for no, ln in enumerate(text.splitlines(), 1) if ln.strip()
-        ]
 
     def test_comma_file_is_still_sniffed(self, tmp_path, sniffs):
         path = write(tmp_path / "two.csv", "date,y\n1,10.0\n2,11.0\n")
@@ -254,12 +267,14 @@ def _valid_cells() -> list[str]:
     return cells
 
 
-def _expected_fault(path, rows) -> str | None:
-    """The per-cell rule, written out: the message for the first bad value cell."""
-    for no, (_, cell) in enumerate(rows, start=2):
+def _per_cell_rule(path, cells, column=1):
+    """The per-cell rule, written out: the values of the (row number, cell)
+    pairs, or the message for the first bad cell."""
+    values = []
+    for no, cell in cells:
         cell = "" if cell is SHORT else cell.strip()
         if cell == "":
-            return f"{path}: row {no}: missing value in column 1"
+            return f"{path}: row {no}: missing value in column {column}"
         if not cell.isascii() or "_" in cell:
             return f"{path}: row {no}: non-numeric value {cell!r}"
         try:
@@ -268,11 +283,31 @@ def _expected_fault(path, rows) -> str | None:
             return f"{path}: row {no}: non-numeric value {cell!r}"
         if not math.isfinite(value):
             return f"{path}: row {no}: non-finite value {cell!r}"
-    return None
+        values.append(value)
+    return values
+
+
+def _outcome(read, *args):
+    """The dtype and bytes of each array a read returns, or its IngestError's message."""
+    try:
+        got = read(*args)
+    except IngestError as exc:
+        return str(exc)
+    return [(a.dtype, a.tobytes()) for a in (got if isinstance(got, tuple) else (got,))]
+
+
+def _declined(*args, **kwargs):
+    raise ValueError("declined")
+
+
+@pytest.fixture()
+def python_read(monkeypatch):
+    """Make np.loadtxt decline every file, so that the Python read runs."""
+    monkeypatch.setattr(cli.np, "loadtxt", _declined)
 
 
 class TestBulkParse:
-    """The bulk column parse agrees with the per-cell rule, cell for cell."""
+    """The C read agrees with the per-cell rule, cell for cell."""
 
     FAULTS = ["", SHORT, "1_5", "\u0661\u0662", "nan", "inf", "abc"]
 
@@ -291,21 +326,23 @@ class TestBulkParse:
             return path, rows, str(exc)
         return path, rows, got
 
+    LAYOUTS = [
+        {},
+        {0: ""},
+        {3: SHORT},
+        {7: "1_5"},
+        {20: "\u0661\u0662", 40: "abc"},
+        {44: "nan", 12: "inf"},
+        {-1: "abc"},
+        {30: "", 31: SHORT, 32: "1_5"},
+        {i * 9: fault for i, fault in enumerate(FAULTS)},
+        {60 - i * 9: fault for i, fault in enumerate(FAULTS)},
+    ]
+
     @pytest.mark.parametrize("mode", ["series", "grouped"])
     @pytest.mark.parametrize(
         "faults",
-        [
-            {},
-            {0: ""},
-            {3: SHORT},
-            {7: "1_5"},
-            {20: "\u0661\u0662", 40: "abc"},
-            {44: "nan", 12: "inf"},
-            {-1: "abc"},
-            {30: "", 31: SHORT, 32: "1_5"},
-            {i * 9: fault for i, fault in enumerate(FAULTS)},
-            {60 - i * 9: fault for i, fault in enumerate(FAULTS)},
-        ],
+        LAYOUTS,
         ids=lambda faults: "+".join(f"{k}:{v!r}" for k, v in faults.items()) or "valid",
     )
     def test_matches_per_cell_rule(self, tmp_path, mode, faults):
@@ -313,11 +350,11 @@ class TestBulkParse:
         for row, fault in faults.items():
             cells[row] = fault
         path, rows, got = self._read(tmp_path, mode, cells)
-        expected = _expected_fault(path, rows)
-        if expected is not None:
+        expected = _per_cell_rule(path, [(no, cell) for no, (_, cell) in enumerate(rows, 2)])
+        if isinstance(expected, str):
             assert got == expected
             return
-        want = np.array([float(cell.strip()) for cell in cells])
+        want = np.array(expected)
         if mode == "grouped":
             want = np.concatenate([want[0::2], want[1::2]])
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
@@ -333,11 +370,153 @@ class TestBulkParse:
 
     @pytest.mark.parametrize("mode", ["series", "grouped"])
     def test_cells_the_bulk_parse_declines_are_read_per_cell(self, tmp_path, mode):
-        # strip() removes these, float() does not take them: the scan reads them
+        # strip() removes these and float() does not take them; np.loadtxt reads them
         cells = [" 1.5", "2.5\x1c", "\u30003.5\u3000", "4.5"]
         _, _, got = self._read(tmp_path, mode, cells)
         want = [1.5, 2.5, 3.5, 4.5] if mode == "series" else [1.5, 3.5, 2.5, 4.5]
         assert got.tolist() == want
+
+
+# (text, column) of the files the series tests read, and of layouts that
+# np.loadtxt reads leniently, declines, or would split unlike the csv reader
+SERIES_FILES = [
+    ("1.5\n2.5\n3.5\n4.5\n", None),
+    ("date,y\n1,10.0\n2,11.0\n3,12.0\n4,13.0\n", "y"),
+    ("1,10.0\n2,11.0\n3,12.0\n", "1"),
+    ("a\tb\n1\t5.0\n2\t6.0\n", "b"),
+    ("a;b\n1;7.0\n2;8.0\n", "b"),
+    ("value\n", None),
+    ("\n \n", None),
+    ("y\n1.0\noops\n3.0\n", None),
+    ("a,b\n1.0,2.0\n1.5\n", "b"),
+    ("y\n1.0\n2.0\n", "z"),
+    ("a,b,c\n1,2,3\n4,5,\n", "c"),
+    ("a,b,c\n1,2,3\n4,5,6\n", "7"),
+    ("\ufeff1.5\n2.5\n3.5\n4.5\n", None),
+    ("value\n1\n\n2\nabc\n", None),
+    ("value\n1.5\n\n2.5\n", None),
+    ('t,y\n1,"2\n3"\n4,5\n6,abc\n', "y"),
+    ('t,y,note\n1,2.5,"a\nb"\n3,abc,c\n', "y"),
+    ('t,y,note\n1,2.5,"a\nb"\n3,4.5,c\n', "y"),
+    ('t,"y\nz"\n1,1.5\n2,2.5\n', "1"),
+    ('"value"\n"1.5"\n2.5\n', None),
+    ("1.5 7\n2.5 8\n", "1"),
+    ("value\n" + "".join(f"{i}.25\n" for i in range(40)) + "x,y\n", None),
+    ("1.0\n1_000\n", None),
+    ("1.0\nnan\n", None),
+    ("y\n1.5\n1e400\n", None),
+    ('t,y\na, "1.5"\nb, 2.5\n', "y"),
+    ("t,y\na,'1.5'\nb,'2.5'\n", "y"),
+    ("y\n\u30001.5\u3000\n2.5\n", None),
+    ("t,y\na,\u30001.5\u3000\nb,2.5\n", "y"),
+    ("y\n1.5\x1c\n2.5\n", None),
+    ("y\n1.5\n \t \n2.5\n", None),
+    ("t,y\n1,1.5\n \t \n2,2.5\n", "y"),
+    ("y\r\n1.5\r\n\r\n2.5\r\n", None),
+    ("y\r1.5\r\r2.5\r", None),
+    ("y\n1.0\n2.0\x0c\nabc\n", None),
+    ("y\n1.0\n2.0\u20283.0\n4.0\n", None),
+    # a quote after a space (sniffed skipinitialspace), and a doubled quote
+    # past the sniffed sample (sniffed without doublequote)
+    ('t, note, y, z\n1, "a, b", 2.5, 3.5\n2, "c", 4.5, 5.5\n', "z"),
+    ("g,note,y\n" + 'a,"n",1.5\n' * 25 + 'b,"x"",y",3.5\n', "y"),
+]
+
+# (text, group column, value column) of the files the grouped tests read
+GROUPED_FILES = [
+    ("g,y\n" + "".join(f"1,{i}.0\n2,{10 + i}.0\n" for i in range(8)), "g", "y"),
+    ("g,y\n1,1.0\n2,2.0\n3,3.0\n", "g", "y"),
+    ("\ufeffgroup,value\na,1.0\nb,2.0\na,3.0\nb,4.0\n", "group", "value"),
+    ("g,y\na,0.5\nb,1.5\na,2.5\n,3.5\nb,x\n", "g", "y"),
+    ("g,y\na,0.5\nb,1.5\na,x\n,3.5\n", "g", "y"),
+    ("".join(f"{'AB'[i % 2]},{i}.5\n" for i in range(20)), "0", "1"),
+    ("group,value\n" + "".join(f"{'AB'[i % 2]},{i}.5\n" for i in range(20)), "0", "1"),
+    ("y,g\n1.5,a\n2.5,b\n3.5,a\n", "g", "y"),
+    ('"g","y"\n"a",1.5\n"b",2.5\n"a",3.5\n', "g", "y"),
+    ("g,y\n a ,1.5\nb ,2.5\na,3.5\n b,4.5\n", "g", "y"),
+    ("g\ty\na b\t1.5\nc\t2.5\n", "g", "y"),
+    ('y, g\n1.5, "a"\n2.5, "b"\n3.5, "a b"\n', "g", "y"),
+    ('y, g\n1.5, "a"\n2.5, "b"\n3.5, "a"\n', "g", "y"),
+]
+
+
+class TestPythonRead:
+    """The Python read, forced, reads each file as the C read does: the same
+    bytes, or the same error."""
+
+    @staticmethod
+    def _both(request, read, path, *columns):
+        got = _outcome(read, path, *columns)
+        request.getfixturevalue("python_read")
+        return got, _outcome(read, path, *columns)
+
+    @pytest.mark.parametrize(("text", "column"), SERIES_FILES)
+    def test_series_files(self, tmp_path, request, text, column):
+        path = write(tmp_path / "s.csv", text)
+        got, forced = self._both(request, read_series, path, column)
+        assert got == forced
+
+    @pytest.mark.parametrize(("text", "group", "value"), GROUPED_FILES)
+    def test_grouped_files(self, tmp_path, request, text, group, value):
+        path = write(tmp_path / "g.csv", text)
+        got, forced = self._both(request, read_grouped, path, group, value)
+        assert got == forced
+
+    @pytest.mark.parametrize("mode", ["series", "grouped"])
+    @pytest.mark.parametrize("faults", TestBulkParse.LAYOUTS)
+    def test_bulk_parse_layouts(self, tmp_path, request, mode, faults):
+        cells = _valid_cells()
+        for row, fault in faults.items():
+            cells[row] = fault
+        _, _, got = TestBulkParse._read(tmp_path, mode, cells)
+        request.getfixturevalue("python_read")
+        _, _, forced = TestBulkParse._read(tmp_path, mode, cells)
+        assert type(got) is type(forced)
+        if isinstance(got, str):
+            assert got == forced
+        else:
+            assert got.tobytes() == forced.tobytes()
+
+
+class TestLineEndings:
+    """A line ends at \\n, \\r\\n or \\r, and at no other line boundary of str.splitlines."""
+
+    @pytest.mark.parametrize(
+        "mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_other_boundaries_do_not_end_a_line(self, tmp_path, mark):
+        path = write(tmp_path / "a.csv", f"y\n1.0\n2.0{mark}\nabc\n")
+        with pytest.raises(IngestError) as exc:
+            read_series(path)
+        assert str(exc.value) == f"{path}: row 4: non-numeric value 'abc'"
+        # the mark inside a line splits cells on whitespace, not rows
+        path = write(tmp_path / "b.csv", f"y\n1.0\n2.0{mark}3.0\n4.0\n")
+        assert read_series(path).tolist() == [1.0, 2.0, 4.0]
+        path = write(tmp_path / "c.csv", f"t,y\n1,1.0\n2,2.0{mark}3,3.0\n4,4.0\n")
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "y")
+        assert str(exc.value) == f"{path}: row 3: non-numeric value {'2.0' + mark + '3'!r}"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_three_line_endings(self, tmp_path, end):
+        path = write(tmp_path / "a.csv", end.join(["t,y", "1,1.5", "", "2,2.5", "3,abc", ""]))
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "y")
+        assert str(exc.value) == f"{path}: row 5: non-numeric value 'abc'"
+
+
+def test_read_series_memory_is_bounded(tmp_path):
+    y = np.random.default_rng(5).standard_normal(200_000)
+    path = tmp_path / "long.csv"
+    path.write_text("t,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(y.tolist())))
+    tracemalloc.start()
+    try:
+        values = read_series(str(path), "value")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tobytes() == y.tobytes()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestTestCommand:
@@ -618,19 +797,30 @@ class TestSimulateCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
 
     def test_preset_with_a_cell_flag_is_an_input_error(self, tmp_path, capsys):
-        code = main(["simulate", "--preset", "table5-desk", "--alpha", "0.2",
-                     "--out", str(tmp_path / "p")])
-        assert code == EXIT_INPUT
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "alpha" in err[0]
-        assert list(tmp_path.iterdir()) == []
+        # the error names the flags as typed: --law, not the field error_law
+        for flags, named in [
+            (["--alpha", "0.2"], "--alpha"),
+            (["--law", "normal"], "--law"),
+            (["--law", "chisq1", "--mu1", "2"], "--law, --mu1"),
+        ]:
+            code = main(["simulate", "--preset", "table5-desk", *flags,
+                         "--out", str(tmp_path / "p")])
+            assert code == EXIT_INPUT
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: --preset fixes every cell field; got {named}"]
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(("flags", "field"), [
         (["--sigma1", "nan"], "sigma1"),
         (["--sigma1", "inf"], "sigma1"),
         (["--a", "inf"], "a"),
         (["--mu1", "1e308", "--a", "10"], "mu2 = a * mu1"),
-    ], ids=["sigma1-nan", "sigma1-inf", "a-inf", "mu2-overflow"])
+        (["--sigma1", "1e300"], "sigma1"),
+        (["--sigma2", "1e80"], "sigma2"),
+        (["--mu1", "1e200"], "mu1"),
+        (["--mu1", "1e70", "--a", "1e10"], "mu2 = a * mu1"),
+    ], ids=["sigma1-nan", "sigma1-inf", "a-inf", "mu2-overflow", "sigma1-large", "sigma2-large",
+            "mu1-large", "mu2-large"])
     def test_non_finite_cell_flag_is_an_input_error(self, tmp_path, capsys, flags, field):
         code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0", *flags,
                      "--n-mc", "2", "--B", "19", "--out", str(tmp_path / "nf")])
@@ -638,6 +828,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field} ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_scales_within_the_margin_run(self, tmp_path, capsys):
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0.9", "--sigma1", "1e74",
+                     "--sigma2", "1e74", "--law", "chisq1", "--n-mc", "4", "--B", "19",
+                     "--out", str(tmp_path / "big")])
+        assert code == EXIT_OK
 
     def test_preset_artifact_shape(self, tmp_path, capsys):
         stem = str(tmp_path / "t1")
