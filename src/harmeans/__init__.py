@@ -22,7 +22,7 @@ from .lrv import (
     select_k,
     series_lrv,
 )
-from .sharwb import BootstrapRun, EtaDraw, gen_eta, shar_wb_test
+from .sharwb import BootstrapRun, shar_wb_test
 from .statdist import (
     DistKind,
     RefDistribution,
@@ -46,7 +46,6 @@ __all__ = [
     "DegenerateSampleError",
     "DistKind",
     "DomainError",
-    "EtaDraw",
     "IngestError",
     "KSelection",
     "LrvEstimate",
@@ -56,7 +55,6 @@ __all__ = [
     "ar1_plugin",
     "chisq_sf",
     "classical_t",
-    "gen_eta",
     "har_pooled_t",
     "har_welch_t",
     "k_adf",

@@ -10,9 +10,8 @@ slot 2m, orthonormal and mean-zero on the grid, so its coefficients are
 sqrt(2/T) Re U(m) and -sqrt(2/T) Im U(m).  The bootstrap basis is the plain
 pair cos(2 pi l t/T), sin(2 pi l t/T), whose sums against u are Re U(l) and
 -Im U(l).  The LRV coefficients of u times a bootstrap basis function are
-half sums and differences of U at m - l and m + l, and the bootstrap
-multipliers are one inverse real transform.  The transform is taken once
-per sample (``TimeSeriesSample.spectrum``); the readers below take that
+half sums and differences of U at m - l and m + l.  The transform is taken
+once per sample (``TimeSeriesSample.spectrum``); the readers below take that
 length-T spectrum and slice it.  Every function works along axis 0, so a
 (T, n) array is n series at once.
 """
@@ -91,17 +90,3 @@ def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndar
     np.subtract(re_m[:h], re_p[:h], out=sin_rows[:, k_star:])
     return out
 
-
-def cos_sin_series(n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_l [c_l cos(2 pi l t/n) + s_l sin(2 pi l t/n)] for t = 1..n.
-
-    One inverse real transform of the spectrum (n/2)(c - i s) on bins
-    1..len(c).  When 2 len(c) = n the Nyquist bin is n c_last, because the
-    inverse transform does not double that bin (sin(pi t) vanishes there).
-    """
-    k_star = c.shape[0]
-    spec = np.zeros((n // 2 + 1,) + c.shape[1:], dtype=np.complex128)
-    spec[1 : k_star + 1] = 0.5 * n * (c - 1j * s)
-    if 2 * k_star == n:
-        spec[k_star] = n * c[-1]
-    return np.roll(np.fft.irfft(spec, n, axis=0), -1, axis=0)

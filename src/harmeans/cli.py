@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from itertools import islice
 
 import numpy as np
 
@@ -44,12 +43,18 @@ EXIT_INTERNAL = 4
 _MIN_GROUP_LEN = 4
 
 
-def _lines(path: str, count: int | None = None) -> list[tuple[int, str]]:
-    """The first count non-blank lines, or all, with their file line numbers.  A line
+def _lines(path: str, count: float = math.inf) -> list[tuple[int, str]]:
+    """The lines up to the count-th non-blank one, with their file line numbers.  A line
     ends at \\n, \\r\\n or \\r, as for np.loadtxt, and keeps its ending for quoted cells."""
+    lines = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return list(islice(((no, ln) for no, ln in enumerate(fh, 1) if ln.strip()), count))
+            for no, ln in enumerate(fh, 1):
+                lines.append((no, ln))
+                count -= ln.strip() != ""
+                if not count:
+                    break
+        return lines
     except OSError as exc:
         raise IngestError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -72,15 +77,20 @@ def _dialect(head: list[tuple[int, str]]):
     return None
 
 
-def _rows(lines: list[tuple[int, str]], dialect) -> list[tuple[int, list[str]]]:
-    """Each row's unstripped cells, numbered by the file line it starts on."""
+def _rows(lines: list[tuple[int, str]], dialect, path: str) -> list[tuple[int, list[str]]]:
+    """Each row's unstripped cells, numbered by the file line it starts on.  A blank
+    line starts no row, but stays inside a quoted cell."""
     if dialect is None:
-        return [(no, ln.split()) for no, ln in lines]
+        return [(no, ln.split()) for no, ln in lines if ln.strip()]
     reader = csv.reader((ln for _, ln in lines), dialect)
     rows, consumed = [], 0
-    for cells in reader:
-        rows.append((lines[consumed][0], cells))
-        consumed = reader.line_num
+    try:
+        for cells in reader:
+            if lines[consumed][1].strip():
+                rows.append((lines[consumed][0], cells))
+            consumed = reader.line_num
+    except csv.Error as exc:
+        raise IngestError(f"{path}: row {lines[consumed][0]}: {exc}") from exc
     return rows
 
 
@@ -116,13 +126,17 @@ def _as_index(selector) -> int | None:
     return None
 
 
+class _WidthError(IngestError):
+    """A column index past the width of the rows read."""
+
+
 def _column_index(selector, header: list[str] | None, width: int, path: str) -> int:
     if selector is None:
         return 0
     idx = _as_index(selector)
     if idx is not None:
         if not 0 <= idx < width:
-            raise IngestError(f"{path}: column index {idx} out of range (width {width})")
+            raise _WidthError(f"{path}: column index {idx} out of range (width {width})")
         return idx
     if header is None:
         raise IngestError(f"{path}: column name {selector!r} given but the file has no header")
@@ -163,11 +177,13 @@ def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
     declines the layout, or returns a value that is not finite or an empty
     label, are the rows read in Python, cell by cell, to name the first fault."""
     head = _lines(path, 20)
-    if not head:
+    sample = [(no, ln) for no, ln in head if ln.strip()]
+    if not sample:
         raise IngestError(f"{path}: file is empty")
-    dialect = _dialect(head)
+    dialect = _dialect(sample)
+    rows = _rows(head, dialect, path)
     try:
-        data, idx = _layout(_rows(head, dialect), path, selectors)
+        data, idx = _layout(rows, path, selectors)
         if dialect is None or not _quotes_differ(path, dialect):
             quoting = {} if dialect is None else {
                 "delimiter": dialect.delimiter, "quotechar": dialect.quotechar}
@@ -178,9 +194,14 @@ def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
             labels = [label.strip() for label in table["g"].tolist()] if len(idx) == 2 else []
             if np.isfinite(table["v"]).all() and "" not in labels:
                 return table["v"], labels
+    except _WidthError:
+        pass  # checked below against the whole file's width
+    except IngestError:
+        if len(rows) > 1 or len(sample) < 20:
+            raise  # the head holds the whole first row, so the header and names are final
     except ValueError:
         pass
-    data, idx = _layout(_rows(_lines(path), dialect), path, selectors)
+    data, idx = _layout(_rows(_lines(path), dialect, path), path, selectors)
     values = []
     for no, cells in data:
         if len(idx) == 2 and (idx[0] >= len(cells) or cells[idx[0]].strip() == ""):

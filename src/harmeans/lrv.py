@@ -116,7 +116,8 @@ class TimeSeriesSample:
         if not np.all(np.isfinite(arr)):
             raise DomainError("sample contains non-finite values")
         arr = arr.copy()
-        with np.errstate(over="ignore"):  # an overflow here fails the energy check
+        # an overflow, or inf - inf, here fails the energy check
+        with np.errstate(over="ignore", invalid="ignore"):
             mean = float(arr.mean())
             resid = arr - mean
         arr.flags.writeable = False
@@ -177,6 +178,10 @@ def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:
         a_hat = min(max(a_hat, -_A_HAT_CAP), _A_HAT_CAP)
         innov = u[1:] - a_hat * u[:-1]
         sigma_hat = float(innov.dot(innov)) / (sample.n - 1) / (1.0 - a_hat) ** 2
+    if not sigma_hat > 0.0:
+        raise DegenerateSampleError("AR(1) innovations carry no variation")
+    if sigma_hat == math.inf:
+        raise DomainError("sample values too large: AR(1) innovation variance is not finite")
     return a_hat, sigma_hat
 
 

@@ -47,15 +47,6 @@ _MAX_CONSECUTIVE_REDRAWS = 100
 
 
 @dataclass(frozen=True, eq=False)
-class EtaDraw:
-    """One draw of the dependent multiplier vector."""
-
-    values: np.ndarray
-    k_star: int
-    law: str
-
-
-@dataclass(frozen=True, eq=False)
 class BootstrapRun:
     """Replicate statistics and the decision quantities built from them."""
 
@@ -78,19 +69,6 @@ def _draw_innovations(rng: np.random.Generator, shape, law: str) -> np.ndarray:
     if law == RADEMACHER_INNOVATIONS:
         return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
     raise DomainError(f"unknown innovation law {law!r}")
-
-
-def gen_eta(
-    n: int, k_star: int, rng: np.random.Generator, law: str = NORMAL_INNOVATIONS
-) -> EtaDraw:
-    """Draw one dependent multiplier vector of length n."""
-    if not 1 <= k_star <= n // 2:
-        raise DomainError(
-            f"k_star must lie in [1, {n // 2}] for T={n}, got {k_star}"
-        )
-    v = _draw_innovations(rng, (2, k_star), law)
-    values = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)
-    return EtaDraw(values=values, k_star=k_star, law=law)
 
 
 def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
@@ -116,7 +94,7 @@ def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     z = A v and w.v, and the replicate LRV is the column mean of z^2 (the
     add-reduce and divide ``np.mean`` would run).  Degenerate replicates
     (zero bootstrap LRV in both groups) come back as NaN for the caller to
-    handle; only then does the kernel mask the division.
+    handle.
     """
     means = []
     omegas = []
@@ -126,11 +104,8 @@ def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
             z = a.dot(v)
             means.append(w.dot(v))
             omegas.append((z * z).sum(axis=0) / z.shape[0])
-    denom_sq = omegas[0] + omegas[1]
-    if np.all(denom_sq > 0.0):
-        return (means[0] - means[1]) / np.sqrt(denom_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom_sq > 0.0, (means[0] - means[1]) / np.sqrt(denom_sq), np.nan)
+    num, denom_sq = means[0] - means[1], omegas[0] + omegas[1]
+    return np.divide(num, np.sqrt(denom_sq), out=np.full_like(num, np.nan), where=denom_sq > 0.0)
 
 
 def _empirical_quantile(sorted_stats: np.ndarray, p: float) -> float:

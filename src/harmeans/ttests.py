@@ -47,6 +47,14 @@ def _validate_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _unit_scale(a: float, b: float) -> tuple[float, float]:
+    """a and b over the power of two that brings the larger into [0.5, 1).
+    The division is exact, so a scale-free ratio of their squares keeps its
+    bytes, and the squares can neither overflow nor underflow to zero."""
+    exp = math.frexp(max(a, b))[1]
+    return math.ldexp(a, -exp), math.ldexp(b, -exp)
+
+
 def _report(name, statistic, ref, alpha, detail) -> TestReport:
     p = two_sided_p(statistic, ref)
     return TestReport(
@@ -93,6 +101,7 @@ def welch_t(
     if v1 + v2 <= 0.0:
         raise DegenerateSampleError("both sample variances are zero")
     stat = (y1.mean - y2.mean) / math.sqrt(v1 + v2)
+    v1, v2 = _unit_scale(v1, v2)
     df = (v1 + v2) ** 2 / (v1 * v1 / (t1 - 1) + v2 * v2 / (t2 - 1))
     ref = RefDistribution(DistKind.STUDENT_T, df=df)
     detail = _detail(y1, y2, var1=s1_sq, var2=s2_sq, df=df)
@@ -135,6 +144,7 @@ def k_adf(
         raise DomainError(f"basis counts must be >= 1, got ({k1}, {k2})")
     if t1 < 2 or t2 < 2:
         raise DomainError(f"sample sizes must be >= 2, got ({t1}, {t2})")
+    omega1, omega2 = _unit_scale(omega1, omega2)
     rho = t2 / t1
     sr = math.sqrt(rho)
     num = (sr * omega1 + omega2 / sr) ** 2

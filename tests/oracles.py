@@ -335,6 +335,15 @@ def eta_autocov(n: int, k_star: int, lag: int) -> float:
     return float(np.mean(np.cos(2.0 * np.pi * ells * lag / n)))
 
 
+def eta_series(n: int, v: np.ndarray) -> np.ndarray:
+    """The multipliers eta_t = K*^{-1/2} sum_l [cos(2 pi l t/n) v_{1l}
+    + sin(2 pi l t/n) v_{2l}], t = 1..n, for innovations v of shape
+    (2, K*, ...), from the cosine/sine sums of the unit vectors."""
+    k_star = v.shape[1]
+    cos_tab, sin_tab = basis.cos_sin_sums(basis.dft(np.eye(n)), k_star)
+    return (cos_tab.T.dot(v[0]) + sin_tab.T.dot(v[1])) / math.sqrt(k_star)
+
+
 def bootstrap_lrv_closed_form(residuals, k_star: int) -> float:
     """Exact conditional variance of n^{-1/2} sum_t u_t eta_t given the data.
 

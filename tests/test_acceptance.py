@@ -20,7 +20,7 @@ from harmeans.lrv import TimeSeriesSample, _curvature_b, select_k, series_lrv
 from harmeans.simlab import Scenario, run_cell, simulate_series
 from harmeans.statdist import chisq_sf, t_cdf, t_quantile
 from harmeans.ttests import har_pooled_t, har_welch_t, k_adf
-from oracles import bootstrap_lrv_closed_form, eta_autocov
+from oracles import bootstrap_lrv_closed_form, eta_autocov, eta_series
 
 SEED = 1234
 DESK = {"n_mc": 2000, "n_boot": 199}
@@ -114,7 +114,7 @@ def test_criterion_5_eta_moment_identities():
     n, k_star, draws = 50, 5, 100_000
     rng = np.random.default_rng(SEED)
     v = rng.standard_normal((2, k_star, draws))
-    eta = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)  # (n, draws)
+    eta = eta_series(n, v)  # (n, draws)
     worst_var = max(abs(float(eta[t].var()) - 1.0) for t in (0, 9, 24, 49))
     worst_cov = 0.0
     for t, s in ((9, 6), (20, 17), (40, 35)):
@@ -136,7 +136,7 @@ def test_criterion_6_bootstrap_lrv_identity():
     u = series.residuals
     closed = bootstrap_lrv_closed_form(u, k_star)
     v = rng.standard_normal((2, k_star, draws))
-    eta = basis.cos_sin_series(n, v[0], v[1]) / math.sqrt(k_star)
+    eta = eta_series(n, v)
     stats = u.dot(eta) / math.sqrt(n)
     mc_var = float(stats.var())
     rel_err = abs(mc_var - closed) / closed

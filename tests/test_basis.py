@@ -18,7 +18,7 @@ import oracles
 from harmeans import basis
 from harmeans.errors import DomainError
 from harmeans.lrv import TimeSeriesSample, series_lrv
-from harmeans.sharwb import gen_eta
+from harmeans.sharwb import shar_wb_test
 from oracles import bootstrap_lrv_closed_form
 
 SQRT2 = math.sqrt(2.0)
@@ -100,11 +100,11 @@ class TestPsi:
         assert abs(total) <= 1e-12
 
     def test_domain(self):
-        rng = np.random.default_rng(0)
+        y = TimeSeriesSample.from_values(np.arange(30.0))
         with pytest.raises(DomainError):
-            gen_eta(30, 16, rng)
+            series_lrv(y, 16)  # the multipliers' K* is the group's K
         with pytest.raises(DomainError):
-            gen_eta(30, 3, rng, law="uniform")
+            shar_wb_test(series_lrv(y, 3), series_lrv(y, 3), n_boot=99, law="uniform")
         with pytest.raises(DomainError):
             bootstrap_lrv_closed_form(np.ones(10), 0)
 
@@ -235,11 +235,14 @@ class TestBootstrapTransforms:
 
     @pytest.mark.parametrize("n", [8, 9, 30, 31, 200, 201])
     def test_cos_sin_series_matches_dense_tables(self, n):
-        # k_star = n // 2 covers the Nyquist bin when n is even
+        # sum_l [c_l cos + s_l sin] from the cosine/sine sums of the unit
+        # vectors, as the eta draws are formed; k_star = n // 2 covers the
+        # Nyquist bin when n is even
         rng = np.random.default_rng(n)
         for k_star in sorted({1, 2, n // 2}):
             for shape in ((k_star,), (k_star, 5)):
                 c, s = rng.standard_normal(shape), rng.standard_normal(shape)
                 cos_tab, sin_tab = oracles.psi_matrices(n, k_star)
                 want = cos_tab.dot(c) + sin_tab.dot(s)
-                assert np.allclose(basis.cos_sin_series(n, c, s), want, rtol=0, atol=1e-12)
+                got = math.sqrt(k_star) * oracles.eta_series(n, np.stack([c, s]))
+                assert np.allclose(got, want, rtol=0, atol=1e-12)

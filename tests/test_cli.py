@@ -134,6 +134,36 @@ class TestReadSeries:
             read_series(path, "c")
         assert str(exc.value) == f"{path}: row 3: missing value in column 2"
 
+    @pytest.mark.parametrize(
+        ("text", "column", "message", "reads"),
+        [
+            ("t,y\n" + "1,1.5\n" * 50, "valu", "no column named 'valu' in header ['t', 'y']",
+             [(20,)]),
+            ("1.5\n" * 50, "y", "column name 'y' given but the file has no header", [(20,)]),
+            ("\ny\n\n", None, "contains a header but no data rows", [(20,)]),
+            # an index is checked against the width of the whole file
+            ("a,b\n" + "1,2\n" * 25 + "1,2,3\n", "5", "column index 5 out of range (width 3)",
+             [(20,), ()]),
+        ],
+        ids=["unknown-name", "name-without-header", "header-only", "index"],
+    )
+    def test_layout_fault_read_once(self, tmp_path, monkeypatch, text, column, message, reads):
+        # once the first 20 non-blank lines hold the whole first row, the
+        # header and the column names are final
+        counts = []
+        lines = cli._lines
+
+        def counting(path, *count):
+            counts.append(count)
+            return lines(path, *count)
+
+        monkeypatch.setattr(cli, "_lines", counting)
+        path = write(tmp_path / "a.csv", text)
+        with pytest.raises(IngestError) as exc:
+            read_series(path, column)
+        assert str(exc.value) == f"{path}: {message}"
+        assert counts == reads
+
 
 class TestSniff:
     @pytest.fixture()
@@ -420,6 +450,8 @@ SERIES_FILES = [
     # past the sniffed sample (sniffed without doublequote)
     ('t, note, y, z\n1, "a, b", 2.5, 3.5\n2, "c", 4.5, 5.5\n', "z"),
     ("g,note,y\n" + 'a,"n",1.5\n' * 25 + 'b,"x"",y",3.5\n', "y"),
+    # a cell longer than the csv module's field limit
+    pytest.param("h" * 200_000 + ",y\n1,1.5\n2,2.5\n", "y", id="cell-over-field-limit"),
 ]
 
 # (text, group column, value column) of the files the grouped tests read
@@ -437,6 +469,8 @@ GROUPED_FILES = [
     ("g\ty\na b\t1.5\nc\t2.5\n", "g", "y"),
     ('y, g\n1.5, "a"\n2.5, "b"\n3.5, "a b"\n', "g", "y"),
     ('y, g\n1.5, "a"\n2.5, "b"\n3.5, "a"\n', "g", "y"),
+    # a blank line inside a quoted label
+    ('g,y\n"a\n\nb",1.5\n"a\nb",2.5\n"a\n\nb",3.5\n"a\nb",4.5\n', "g", "y"),
 ]
 
 
@@ -670,6 +704,22 @@ class TestTestCommand:
             "error: sample values too large: residual sum of squares is not finite"
         ]
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would end as exit 4
+    def test_power_of_two_scaling_never_exits_internal(self, tmp_path, capsys):
+        # from subnormal to overflowing magnitudes a run ends in a report, an
+        # input error or NA tests; 2^-538 is where the AR(1) fit underflows
+        normal = np.random.default_rng(0).standard_normal((2, 100))
+        pairs = {"golden": [read_series(str(GOLDEN / f"g{i}.csv")) for i in (1, 2)],
+                 "normal": list(normal)}
+        for k in sorted({*range(-1074, 1024, 13), -538, 1023}):
+            for name, pair in pairs.items():
+                with np.errstate(over="ignore"):
+                    paths = [write(tmp_path / f"y{i}.csv", "".join(
+                        f"{v!r}\n" for v in np.ldexp(y, k).tolist())) for i, y in enumerate(pair)]
+                code = main(["test", "--y1", paths[0], "--y2", paths[1], "--B", "49"])
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE), (name, k, err)
+
     def test_negative_seed_is_an_input_error(self, wfh_shape_files, capsys):
         f1, f2 = wfh_shape_files
         code = main(["test", "--y1", f1, "--y2", f2, "--B", "49", "--seed", "-1"])
@@ -696,6 +746,25 @@ class TestTestCommand:
         f2 = write(tmp_path / "s2.csv", "1.0\n2.0\n3.0\n4.0\n5.0\n")
         code = main(["test", "--y1", f1, "--y2", f2])
         assert code == EXIT_INPUT
+
+    def test_cell_over_the_csv_field_limit_is_an_input_error(self, tmp_path, capsys):
+        good = write(tmp_path / "good.csv", "y\n1.0\n2.5\n3.0\n4.5\n5.0\n")
+        big = write(tmp_path / "big.csv", "h" * 200_000 + ",y\n1,1.5\n2,2.5\n3,3.5\n4,4.5\n")
+        code = main(["test", "--y1", good, "--y2", big, "--col2", "y"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {big}: row 1: field larger than field limit (131072)\n"
+        )
+
+    def test_blank_line_inside_a_quoted_label(self, tmp_path, capsys, python_read):
+        rows = "".join(f'"a\n\nb",{i}.5\n"a\nb",{i}.25\n' for i in range(6))
+        path = write(tmp_path / "both.csv", "g,y\n" + rows)
+        code = main(["test", "--data", path, "--group-col", "g", "--value-col", "y",
+                     "--B", "49", "--format", "json"])
+        assert code == EXIT_OK
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        assert [g["n"] for g in groups] == [6, 6]
+        assert [g["mean"] for g in groups] == [3.0, 2.75]
 
     def test_single_file_mode(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

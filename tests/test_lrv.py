@@ -197,6 +197,20 @@ class TestAr1Plugin:
             a_hat, _ = ar1_plugin(s)
             assert 0.48 <= a_hat <= 0.52
 
+    def test_innovation_variance_that_underflows_is_degenerate(self):
+        # at 2^-538 the lag-1 sums are subnormal but not zero, and the
+        # innovation variance underflows to zero
+        u = np.ldexp(np.random.default_rng(0).standard_normal(100), -538)
+        with pytest.raises(DegenerateSampleError, match=r"AR\(1\) innovations"):
+            ar1_plugin(sample(u))
+
+    def test_innovation_variance_that_overflows_is_too_large(self):
+        # a short ramp: a_hat is near 1, and (1 - a_hat)^-2 overflows sigma_hat
+        r = np.arange(10.0) - 4.5
+        u = r * math.sqrt(0.5 * np.finfo(float).max / float(r.dot(r)))
+        with pytest.raises(DomainError, match="sample values too large"):
+            ar1_plugin(sample(u))
+
     def test_degenerate_and_short(self):
         with pytest.raises(DegenerateSampleError):
             ar1_plugin(sample([3.0] * 10))

@@ -9,7 +9,6 @@ import pytest
 import harmeans.lrv as lrv_mod
 import harmeans.sharwb as sharwb_mod
 import oracles
-from harmeans import basis
 from harmeans.errors import (
     DegenerateReplicatesError,
     DegenerateSampleError,
@@ -23,11 +22,10 @@ from harmeans.sharwb import (
     _operator,
     _pooled_mean,
     _replicate_stats,
-    gen_eta,
     shar_wb_test,
 )
 from harmeans.simlab import simulate_series
-from oracles import bootstrap_lrv_closed_form, eta_autocov
+from oracles import bootstrap_lrv_closed_form, eta_autocov, eta_series
 
 
 def sample(values) -> TimeSeriesSample:
@@ -48,11 +46,14 @@ def fixed_pair():
 
 
 class TestEta:
+    """The multipliers eta, formed from the cosine/sine sums of the unit
+    vectors, as the acceptance criteria form them."""
+
     def test_forced_single_cosine(self):
         n = 40
         v = np.zeros((2, 1))
         v[0, 0] = 1.0
-        eta = basis.cos_sin_series(n, v[0], v[1])  # K* = 1: no rescaling
+        eta = eta_series(n, v)  # K* = 1: no rescaling
         expected = np.cos(2.0 * np.pi * np.arange(1, n + 1) / n)
         assert np.allclose(eta, expected, atol=1e-14)
 
@@ -69,26 +70,17 @@ class TestEta:
     def test_empirical_moments(self):
         n, k = 50, 5
         rng = np.random.default_rng(8)
-        draws = np.stack(
-            [gen_eta(n, k, rng).values for _ in range(20_000)]
-        )
-        var_t = draws[:, 9].var()
+        draws = eta_series(n, rng.standard_normal((2, k, 20_000)))  # (n, draws)
+        var_t = draws[9].var()
         assert var_t == pytest.approx(1.0, abs=0.04)
-        cov = np.mean(draws[:, 10] * draws[:, 7])  # lag 3
+        cov = np.mean(draws[10] * draws[7])  # lag 3
         assert cov == pytest.approx(eta_autocov(n, k, 3), abs=0.04)
 
     def test_rademacher_law(self):
-        rng = np.random.default_rng(9)
-        draw = gen_eta(30, 3, rng, law="rademacher")
-        assert draw.law == "rademacher"
-        assert draw.values.shape == (30,)
-
-    def test_k_star_bounds(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(DomainError):
-            gen_eta(30, 16, rng)
-        with pytest.raises(DomainError):
-            gen_eta(30, 0, rng)
+        v = _draw_innovations(np.random.default_rng(9), (2, 3, 500), "rademacher")
+        assert v.shape == (2, 3, 500)
+        assert set(np.unique(v)) == {-1.0, 1.0}
+        assert eta_series(30, v).shape == (30, 500)
 
 
 class TestBootstrapLrv:
@@ -128,10 +120,9 @@ class TestBootstrapLrv:
         u = series.residuals
         k = 5
         closed = bootstrap_lrv_closed_form(u, k)
-        draws = np.empty(30_000)
-        for i in range(draws.size):
-            eta = gen_eta(100, k, rng).values
-            draws[i] = float(u.dot(eta)) / math.sqrt(100)
+        # the bootstrap's w.v is mean(u * eta), so sqrt(T) w.v = T^{-1/2} u.eta
+        w, _ = _operator(series_lrv(series, k))
+        draws = math.sqrt(100) * w.dot(rng.standard_normal((2 * k, 30_000)))
         assert draws.var() == pytest.approx(closed, rel=0.05)
 
     def test_nonnegative(self):

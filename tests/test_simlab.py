@@ -152,6 +152,24 @@ class TestEvaluate:
             assert (detail["var1"], detail["var2"]) == (y1.variance(), y2.variance())
         assert len(entries) == 2  # variance() reads the stored sum of squares
 
+    def test_power_of_two_scaling_keeps_every_result(self):
+        # scaling by 2^k is exact and every test is scale-free, so nothing
+        # may move while the sums of squares stay normal floats
+        def outcome(k):
+            y1, y2 = (TimeSeriesSample.from_values(np.ldexp(y.values, k)) for y in wfh_pair())
+            result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=3)
+            return (
+                result.na,
+                [fit.lrv.k for fit in result.groups],
+                [(r.statistic, r.p_value, r.reference.df) for r in result.reports.values()],
+                result.bootstrap.replicate_stats.tobytes(),
+            )
+
+        base = outcome(0)
+        assert base[0] == {}
+        for k in range(-500, 511, 10):
+            assert outcome(k) == base, k
+
 
 class TestSimulateSeries:
     def test_iid_normal_variance(self):

@@ -88,6 +88,15 @@ class TestWelchT:
         rep = welch_t(y1, y2)
         assert rep.reference.df == pytest.approx(14.0, rel=1e-12)
 
+    def test_df_at_any_magnitude(self):
+        # the squared variances of data scaled by 2^+-300 or more overflow or
+        # underflow; the df is a ratio of them and keeps its bytes
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(20), 3.0 * rng.standard_normal(30)
+        want = welch_t(sample(a), sample(b)).reference.df
+        for k in (-500, -300, 300, 500):
+            assert welch_t(sample(np.ldexp(a, k)), sample(np.ldexp(b, k))).reference.df == want
+
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             welch_t(sample([1.0, 1.0]), sample([2.0, 2.0]))
@@ -155,6 +164,11 @@ class TestKAdf:
         a = k_adf(0.31, 2.7, 37, 85, 4, 2)
         b = k_adf(2.7, 0.31, 85, 37, 2, 4)
         assert a == pytest.approx(b, rel=1e-14)
+
+    def test_any_magnitude(self):
+        want = k_adf(0.31, 2.7, 37, 85, 4, 2)
+        for k in (-1000, -600, 600, 1000):
+            assert k_adf(math.ldexp(0.31, k), math.ldexp(2.7, k), 37, 85, 4, 2) == want
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
