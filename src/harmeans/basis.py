@@ -47,22 +47,28 @@ def cos_sin_sums(spectrum: np.ndarray, k_star: int) -> tuple[np.ndarray, np.ndar
     return spec.real, -spec.imag
 
 
-def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndarray:
-    """(k, 2 k_star) matrix of the LRV coefficients of u times each bootstrap
-    basis function, from U = dft(u): column j is u * cos(2 pi j t/T), column
-    k_star + j is u * sin(2 pi j t/T).
+def modulated_coefficients(
+    spectrum: np.ndarray, k: int, k_star: int, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Rows lo..hi-1 (lo even; all k rows by default) of the (k, 2 k_star)
+    matrix of the LRV coefficients of u times each bootstrap basis function,
+    from U = dft(u): column j is u * cos(2 pi j t/T), column k_star + j is
+    u * sin(2 pi j t/T).
 
     For LRV frequency m and bootstrap frequency j, with c = 1/sqrt(2T):
     cos-cos is c Re[U(m-j) + U(m+j)], cos-sin is c Im[U(m-j) - U(m+j)],
     sin-cos is -c Im[U(m+j) + U(m-j)] and sin-sin is c Re[U(m-j) - U(m+j)].
-    U on f = 1-k_star .. m_top+k_star is gathered once into a (3, L) array
+    Rows lo..hi-1 hold frequencies m = lo/2+1 .. m_top.  U on
+    f = lo/2+1-k_star .. m_top+k_star is gathered once into a (3, L) array
     of c Re U, c Im U and -c Im U, the last so that sin-cos is one addition.
-    U(m+j) and U(m-j) are (m_top, k_star) views of its rows whose steps in
-    j are +1 and -1, so the only array of size k * k_star is the result.
+    U(m+j) and U(m-j) are (n_freq, k_star) views of its rows whose steps in
+    j are +1 and -1, so the only array of size rows * k_star is the result.
     """
     n = spectrum.shape[0]
-    m_top = (k + 1) // 2
-    spec = spectrum[np.arange(1 - k_star, m_top + k_star + 1) % n]
+    hi = k if hi is None else min(hi, k)
+    m_lo, m_top = lo // 2, (hi + 1) // 2
+    n_freq = m_top - m_lo
+    spec = spectrum[np.arange(m_lo + 1 - k_star, m_top + k_star + 1) % n]
     spec *= 1.0 / math.sqrt(2.0 * n)
     parts = np.empty((3, spec.size))
     parts[0] = spec.real
@@ -71,22 +77,21 @@ def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndar
     step = parts.itemsize
 
     def views(first, j_step):
-        # (m_top, k_star) views of each row, starting at index `first`
+        # (n_freq, k_star) views of each row, starting at index `first`
         return (
-            np.ndarray((m_top, k_star), parts.dtype, parts,
+            np.ndarray((n_freq, k_star), parts.dtype, parts,
                        step * (row * spec.size + first), (step, j_step * step))
             for row in range(3)
         )
 
-    # U(m+j) sits at index m+j+k_star-1 of a row and U(m-j) at m-j+k_star-1
+    # U(m+j) sits at index m-m_lo+j+k_star-1 of a row and U(m-j) at m-m_lo-j+k_star-1
     re_p, im_p, nim_p = views(k_star + 1, 1)
     re_m, im_m, nim_m = views(k_star - 1, -1)
-    out = np.empty((k, 2 * k_star))
+    out = np.empty((hi - lo, 2 * k_star))
     cos_rows, sin_rows = out[0::2], out[1::2]
-    h = k // 2
+    h = (hi - lo) // 2
     np.add(re_m, re_p, out=cos_rows[:, :k_star])
     np.subtract(im_m, im_p, out=cos_rows[:, k_star:])
     np.add(nim_p[:h], nim_m[:h], out=sin_rows[:, :k_star])
     np.subtract(re_m[:h], re_p[:h], out=sin_rows[:, k_star:])
     return out
-

@@ -201,7 +201,13 @@ def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
             raise  # the head holds the whole first row, so the header and names are final
     except ValueError:
         pass
-    data, idx = _layout(_rows(_lines(path), dialect, path), path, selectors)
+    # np.loadtxt has no field limit, so the whole-file read lifts the csv one
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        rows = _rows(_lines(path), dialect, path)
+    finally:
+        csv.field_size_limit(limit)
+    data, idx = _layout(rows, path, selectors)
     values = []
     for no, cells in data:
         if len(idx) == 2 and (idx[0] >= len(cells) or cells[idx[0]].strip() == ""):
@@ -503,6 +509,9 @@ def main(argv=None) -> int:
     except (DegenerateSampleError, DegenerateReplicatesError) as exc:
         sys.stderr.write(f"error: degenerate input: {exc}\n")
         return EXIT_DEGENERATE
+    except MemoryError as exc:
+        sys.stderr.write(f"error: not enough memory: {exc}\n")
+        return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL

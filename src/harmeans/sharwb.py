@@ -23,8 +23,10 @@ to zero on the grid.  So per group a replicate needs only mean(u*eta) = w.v
 and the K LRV coefficients A v of u*eta, with the 2K* innovations v stacked
 as the cosine block, then the sine block.  w and the K x 2K* matrix A are
 read off one transform of the residuals, the sample's ``spectrum`` (see
-``basis``), once per test; no T-long multiplier is formed.  Critical values
-are empirical quantiles of the replicate statistics.
+``basis``); no T-long multiplier is formed.  The groups are taken one at a
+time, and A is formed in blocks of 128 rows, so memory holds one group's
+draws and one block of its A.  Critical values are empirical quantiles of
+the replicate statistics.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ NORMAL_INNOVATIONS = "normal"
 RADEMACHER_INNOVATIONS = "rademacher"
 
 _MAX_CONSECUTIVE_REDRAWS = 100
+
+# Bootstrap frequencies per block of the operator A: each block is
+# 2 * _BLOCK_FREQS rows by 2K* columns, so at K* <= 64 A is one block.
+_BLOCK_FREQS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,36 +81,44 @@ def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
     return (y1.n * y1.mean + y2.n * y2.mean) / (y1.n + y2.n)
 
 
-def _operator(lrv: LrvEstimate):
-    """The group's (w, A) for K* = K multiplier pairs, with A scaled by
-    T^{-1/2} so that the replicate's LRV over T is the mean of (A v)^2."""
+def _group_moments(lrv: LrvEstimate, v: np.ndarray):
+    """One group's w.v and replicate LRV over T, the column mean of (A v)^2,
+    for innovations v of shape (2, K*, B), or (2, K*) for one replicate.
+
+    A, the K x 2K* operator scaled by T^{-1/2}, is formed _BLOCK_FREQS
+    frequencies (twice as many rows) at a time.  A buffer's leading row holds
+    the sums of the blocks before, so with B >= 2 the column sums add the
+    rows in the order of one sum over all of (A v)^2."""
     sample, k = lrv.sample, lrv.k
+    v = v.reshape(2 * k, *v.shape[2:])
     cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k)
     w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k))
-    a = basis.modulated_coefficients(sample.spectrum, k, k)
-    a /= math.sqrt(sample.n * k)
-    return w, a
+    rows = min(k, 2 * _BLOCK_FREQS)
+    buf = np.empty((1 + rows, *v.shape[1:]))
+    mean = w.dot(v)
+    for lo in range(0, k, rows):
+        a = basis.modulated_coefficients(sample.spectrum, k, k, lo, lo + rows)
+        a /= math.sqrt(sample.n * k)
+        z = buf[1 : 1 + a.shape[0]]
+        np.dot(a, v, out=z)
+        z *= z
+        # the first block has no running sum to add to
+        buf[0] = buf[0 if lo else 1 : 1 + a.shape[0]].sum(axis=0)
+    return mean, buf[0] / k
 
 
-def _replicate_stats(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Studentized replicate statistics for innovation draws.
+def _replicate_stats(fits, draw) -> np.ndarray:
+    """Studentized replicate statistics of the two groups' LRV fits.
 
-    v_j has shape (2, K*_j) for a single replicate or (2, K*_j, B) for a
-    batch.  Per group the kernel is two products on the calling thread,
-    z = A v and w.v, and the replicate LRV is the column mean of z^2 (the
-    add-reduce and divide ``np.mean`` would run).  Degenerate replicates
-    (zero bootstrap LRV in both groups) come back as NaN for the caller to
-    handle.
+    ``draw(g)`` returns group g's innovations.  The groups are taken in
+    turn, so one group's draws and operator block are freed before the
+    next group's are made; the products run on the calling thread.
+    Degenerate replicates (zero bootstrap LRV in both groups) come back as
+    NaN for the caller to handle.
     """
-    means = []
-    omegas = []
     with _calling_thread_blas():
-        for (w, a), v in ((op1, v1), (op2, v2)):
-            v = v.reshape(w.size, *v.shape[2:])
-            z = a.dot(v)
-            means.append(w.dot(v))
-            omegas.append((z * z).sum(axis=0) / z.shape[0])
-    num, denom_sq = means[0] - means[1], omegas[0] + omegas[1]
+        (m1, o1), (m2, o2) = [_group_moments(fit, draw(g)) for g, fit in enumerate(fits)]
+    num, denom_sq = m1 - m2, o1 + o2
     return np.divide(num, np.sqrt(denom_sq), out=np.full_like(num, np.nan), where=denom_sq > 0.0)
 
 
@@ -142,23 +156,22 @@ def shar_wb_test(
     stat, detail = _har_welch_statistic(lrv1, lrv2)
     k1, k2 = lrv1.k, lrv2.k
 
-    ss_g1, ss_g2, ss_redraw = np.random.SeedSequence(seed).spawn(3)
-    op1, op2 = _operator(lrv1), _operator(lrv2)
-    stats = _replicate_stats(
-        op1, op2,
-        _draw_innovations(np.random.default_rng(ss_g1), (2, k1, n_boot), law),
-        _draw_innovations(np.random.default_rng(ss_g2), (2, k2, n_boot), law),
-    )
+    fits = (lrv1, lrv2)
+    *ss_groups, ss_redraw = np.random.SeedSequence(seed).spawn(3)
+
+    def draws(seqs, *batch):
+        rngs = [np.random.default_rng(ss) for ss in seqs]
+        return lambda g: _draw_innovations(rngs[g], (2, fits[g].k, *batch), law)
+
+    stats = _replicate_stats(fits, draws(ss_groups, n_boot))
 
     n_redrawn = 0
     degenerate = np.flatnonzero(np.isnan(stats))
     if degenerate.size:
-        rng_r1, rng_r2 = map(np.random.default_rng, ss_redraw.spawn(2))
+        redraw = draws(ss_redraw.spawn(2))
         for idx in degenerate:
             for _ in range(_MAX_CONSECUTIVE_REDRAWS):
-                v1 = _draw_innovations(rng_r1, (2, k1), law)
-                v2 = _draw_innovations(rng_r2, (2, k2), law)
-                stats[idx] = _replicate_stats(op1, op2, v1, v2)
+                stats[idx] = _replicate_stats(fits, redraw)
                 n_redrawn += 1
                 if not math.isnan(stats[idx]):
                     break

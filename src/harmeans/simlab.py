@@ -249,10 +249,12 @@ def run_cell(scenario: Scenario) -> CellResult:
     counts = {name: 0 for name in TEST_COLUMNS}
     completed = 0
     excluded = 0
-    rep_seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.n_mc)
+    root = np.random.SeedSequence(scenario.seed)
     chunk = max(1, _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1))
     for lo in range(0, scenario.n_mc, chunk):
-        ss_y1, ss_y2, ss_boot = zip(*(s.spawn(3) for s in rep_seeds[lo : lo + chunk]))
+        # spawn(a) then spawn(b) gives the children of spawn(a + b)
+        rep_seeds = root.spawn(min(chunk, scenario.n_mc - lo))
+        ss_y1, ss_y2, ss_boot = zip(*(s.spawn(3) for s in rep_seeds))
         y1s, y2s = (
             simulate_series(
                 n, scenario.rho, sigma, mu, scenario.error_law,

@@ -288,9 +288,22 @@ def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndar
     return out
 
 
+def operator(lrv):
+    """A group's whole (w, A) for K* = K multiplier pairs, A scaled by
+    T^{-1/2} so that the replicate's LRV over T is the mean of (A v)^2;
+    ``sharwb`` forms A in row blocks instead."""
+    sample, k = lrv.sample, lrv.k
+    cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k)
+    w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k))
+    a = basis.modulated_coefficients(sample.spectrum, k, k)
+    a /= math.sqrt(sample.n * k)
+    return w, a
+
+
 def replicate_kernel(op1, op2, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """``sharwb._replicate_stats`` with ``np.mean`` for the replicate LRVs
-    and the division always masked by ``np.where``."""
+    """``sharwb._replicate_stats`` on whole (w, A) operators, with
+    ``np.mean`` for the replicate LRVs and the division always masked by
+    ``np.where``."""
     means = []
     omegas = []
     for (w, a), v in ((op1, v1), (op2, v2)):

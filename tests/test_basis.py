@@ -233,6 +233,18 @@ class TestBootstrapTransforms:
                 want = oracles.modulated_coefficients(spectrum, k, k_star)
                 assert got.tobytes() == want.tobytes(), (k, k_star)
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 131, 300])
+    def test_modulated_coefficients_row_range_same_bytes_as_full_rows(self, k):
+        # blocks of 2, 4 and 128 rows, the last one cut short by K (odd K
+        # ends on a cosine row), and a stop past K
+        spectrum = basis.dft(np.random.default_rng(k).standard_normal(997))
+        full = basis.modulated_coefficients(spectrum, k, k)
+        for rows in (2, 4, 128):
+            for lo in range(0, k, rows):
+                got = basis.modulated_coefficients(spectrum, k, k, lo, lo + rows)
+                assert got.shape == (min(rows, k - lo), 2 * k)
+                assert got.tobytes() == full[lo : lo + rows].tobytes(), (rows, lo)
+
     @pytest.mark.parametrize("n", [8, 9, 30, 31, 200, 201])
     def test_cos_sin_series_matches_dense_tables(self, n):
         # sum_l [c_l cos + s_l sin] from the cosine/sine sums of the unit

@@ -409,6 +409,10 @@ class TestBulkParse:
 
 # (text, column) of the files the series tests read, and of layouts that
 # np.loadtxt reads leniently, declines, or would split unlike the csv reader
+LONG_NOTE = "t,y,note\n" + "".join(
+    f"{i},{i}.5,{'n' * 200_000 if i == 25 else 'n'}\n" for i in range(1, 31)
+)
+
 SERIES_FILES = [
     ("1.5\n2.5\n3.5\n4.5\n", None),
     ("date,y\n1,10.0\n2,11.0\n3,12.0\n4,13.0\n", "y"),
@@ -452,6 +456,9 @@ SERIES_FILES = [
     ("g,note,y\n" + 'a,"n",1.5\n' * 25 + 'b,"x"",y",3.5\n', "y"),
     # a cell longer than the csv module's field limit
     pytest.param("h" * 200_000 + ",y\n1,1.5\n2,2.5\n", "y", id="cell-over-field-limit"),
+    # the same past the first 20 lines, in an unused column, then a bad value
+    pytest.param(LONG_NOTE, "y", id="cell-over-field-limit-past-the-head"),
+    pytest.param(LONG_NOTE + "31,abc,z\n", "y", id="cell-over-field-limit-then-bad-value"),
 ]
 
 # (text, group column, value column) of the files the grouped tests read
@@ -658,6 +665,14 @@ class TestTestCommand:
         del report["version"], golden["version"]  # a release bump is not a change
         assert_matches_golden(report, golden)
 
+    def test_memory_exhaustion_is_an_input_error(self, capsys):
+        # B = 10^16 asks for about 1 EiB of draws: numpy refuses at once
+        code = main(["test", "--y1", str(GOLDEN / "g1.csv"), "--y2", str(GOLDEN / "g2.csv"),
+                     "--B", "10000000000000000"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not enough memory: Unable to allocate")
+
     def test_missing_file_exit_input(self, tmp_path, capsys):
         code = main(["test", "--y1", str(tmp_path / "nope.csv"),
                      "--y2", str(tmp_path / "nope2.csv")])
@@ -755,6 +770,16 @@ class TestTestCommand:
         assert capsys.readouterr().err == (
             f"error: {big}: row 1: field larger than field limit (131072)\n"
         )
+
+    def test_cell_over_the_csv_field_limit_past_the_head_names_the_bad_value(
+        self, tmp_path, capsys
+    ):
+        good = write(tmp_path / "good.csv", "y\n1.0\n2.5\n3.0\n4.5\n5.0\n")
+        big = write(tmp_path / "big.csv", LONG_NOTE + "31,abc,z\n")
+        code = main(["test", "--y1", good, "--y2", big, "--col2", "y"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {big}: row 32: non-numeric value 'abc'\n"
+        assert csv.field_size_limit() == 131_072  # restored after the read
 
     def test_blank_line_inside_a_quoted_label(self, tmp_path, capsys, python_read):
         rows = "".join(f'"a\n\nb",{i}.5\n"a\nb",{i}.25\n' for i in range(6))
@@ -864,6 +889,13 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "missing" in err[0]
+
+    def test_memory_exhaustion_is_an_input_error(self, tmp_path, capsys):
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0", "--n-mc", "2",
+                     "--B", "10000000000000000", "--out", str(tmp_path / "x")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not enough memory: Unable to allocate")
 
     def test_preset_with_a_cell_flag_is_an_input_error(self, tmp_path, capsys):
         # the error names the flags as typed: --law, not the field error_law

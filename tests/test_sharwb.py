@@ -19,7 +19,6 @@ from harmeans.sharwb import (
     BootstrapRun,
     _draw_innovations,
     _empirical_quantile,
-    _operator,
     _pooled_mean,
     _replicate_stats,
     shar_wb_test,
@@ -35,6 +34,11 @@ def sample(values) -> TimeSeriesSample:
 def fits(y1, y2, k1="auto", k2="auto"):
     """Both groups' series LRV estimates, the robust tests' inputs."""
     return series_lrv(y1, k1), series_lrv(y2, k2)
+
+
+def kernel(group_fits, v1, v2):
+    """The replicate statistics of two fits for given innovation draws."""
+    return _replicate_stats(group_fits, (v1, v2).__getitem__)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +125,7 @@ class TestBootstrapLrv:
         k = 5
         closed = bootstrap_lrv_closed_form(u, k)
         # the bootstrap's w.v is mean(u * eta), so sqrt(T) w.v = T^{-1/2} u.eta
-        w, _ = _operator(series_lrv(series, k))
+        w, _ = oracles.operator(series_lrv(series, k))
         draws = math.sqrt(100) * w.dot(rng.standard_normal((2 * k, 30_000)))
         assert draws.var() == pytest.approx(closed, rel=0.05)
 
@@ -149,17 +153,17 @@ class TestReplicate:
         y1, y2 = fixed_pair
         v1 = np.zeros((2, 3))
         v2 = np.zeros((2, 3))
-        stat = _replicate_stats(*map(_operator, fits(y1, y2, 3, 3)), v1, v2)
+        stat = kernel(fits(y1, y2, 3, 3), v1, v2)
         assert math.isnan(float(stat))
 
     def test_single_replicate_matches_batch_shape(self, fixed_pair):
         y1, y2 = fixed_pair
-        op1, op2 = map(_operator, fits(y1, y2, 4, 4))
+        group_fits = fits(y1, y2, 4, 4)
         v1 = _draw_innovations(np.random.default_rng(1), (2, 4), "normal")
         v2 = _draw_innovations(np.random.default_rng(2), (2, 4), "normal")
-        value = _replicate_stats(op1, op2, v1, v2)
+        value = kernel(group_fits, v1, v2)
         assert value.shape == () and math.isfinite(float(value))
-        batch = _replicate_stats(op1, op2, v1[..., None], v2[..., None])
+        batch = kernel(group_fits, v1[..., None], v2[..., None])
         assert batch.shape == (1,)
         assert batch[0] == pytest.approx(float(value), rel=1e-12)
 
@@ -227,12 +231,12 @@ class TestSharWbTest:
 
     def test_swap_antisymmetry_with_paired_streams(self, fixed_pair):
         y1, y2 = fixed_pair
-        op1, op2 = map(_operator, fits(y1, y2, 4, 3))
+        group_fits = fits(y1, y2, 4, 3)
         for seed in range(6):
             v1 = _draw_innovations(np.random.default_rng(seed), (2, 4), "normal")
             v2 = _draw_innovations(np.random.default_rng(1000 + seed), (2, 3), "normal")
-            fwd = float(_replicate_stats(op1, op2, v1, v2))
-            rev = float(_replicate_stats(op2, op1, v2, v1))
+            fwd = float(kernel(group_fits, v1, v2))
+            rev = float(kernel(group_fits[::-1], v2, v1))
             assert rev == pytest.approx(-fwd, rel=1e-12)
 
     def test_observed_statistic_negates_under_swap(self, fixed_pair):
@@ -290,8 +294,8 @@ class TestSharWbTest:
         y1, y2 = fixed_pair
         original = sharwb_mod._replicate_stats
 
-        def batch_with_hole(op1, op2, v1, v2):
-            out = original(op1, op2, v1, v2)
+        def batch_with_hole(group_fits, draw):
+            out = original(group_fits, draw)
             if out.ndim == 1:
                 out = out.copy()
                 out[0] = np.nan
@@ -325,11 +329,11 @@ class TestReplicateKernel:
         y1 = sample(rng.standard_normal(n))
         y2 = sample(2.0 * rng.standard_normal(n + 1) + 1.0)
         for k in sorted({1, 2, n // 2}):
-            op1, op2 = map(_operator, fits(y1, y2, k, k))
+            group_fits = fits(y1, y2, k, k)
             for batch in ((), (64,)):
                 v1 = _draw_innovations(rng, (2, k, *batch), law)
                 v2 = _draw_innovations(rng, (2, k, *batch), law)
-                got = _replicate_stats(op1, op2, v1, v2)
+                got = kernel(group_fits, v1, v2)
                 want = oracles.replicate_stats(y1, y2, k, k, v1, v2)
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-12)
@@ -339,7 +343,8 @@ class TestReplicateKernel:
         rng = np.random.default_rng(k)
         y1 = sample(rng.standard_normal(80))
         y2 = sample(rng.standard_normal(64))
-        op1, op2 = map(_operator, fits(y1, y2, k, k))
+        group_fits = fits(y1, y2, k, k)
+        op1, op2 = map(oracles.operator, group_fits)
         v1 = _draw_innovations(rng, (2, k, 49), "normal")
         v2 = _draw_innovations(rng, (2, k, 49), "normal")
         cases = [(v1, v2), (v1[..., 0], v2[..., 0])]
@@ -347,7 +352,7 @@ class TestReplicateKernel:
         v1_hole[..., 7] = v2_hole[..., 7] = 0.0  # one degenerate replicate
         cases += [(v1_hole, v2_hole), (v1_hole[..., 7], v2_hole[..., 7])]
         for a, b in cases:
-            got = np.asarray(_replicate_stats(op1, op2, a, b))
+            got = np.asarray(kernel(group_fits, a, b))
             want = oracles.replicate_kernel(op1, op2, a, b)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -362,7 +367,7 @@ class TestReplicateKernel:
         rng = np.random.default_rng(60)
         y1 = sample(rng.standard_normal(2000))
         y2 = sample(3.0 * rng.standard_normal(1500))
-        op1, op2 = map(_operator, fits(y1, y2, 60, 60))
+        group_fits = fits(y1, y2, 60, 60)
         v1 = _draw_innovations(rng, (2, 60, 399), "normal")
         v2 = _draw_innovations(rng, (2, 60, 399), "normal")
         before = get()
@@ -370,11 +375,46 @@ class TestReplicateKernel:
         try:
             for n_threads in (1, 2, 4):
                 put(n_threads)
-                got.append(_replicate_stats(op1, op2, v1, v2).tobytes())
+                got.append(kernel(group_fits, v1, v2).tobytes())
                 assert get() == n_threads  # restored after the products
         finally:
             put(before)
         assert got[1] == got[0] and got[2] == got[0]
+
+    @pytest.mark.parametrize("k", [4, 9, 60])
+    @pytest.mark.parametrize("law", ["normal", "rademacher"])
+    def test_blocks_of_two_frequencies_agree_with_one_block(self, k, law, monkeypatch):
+        # K and K + 1, one odd and one even, in blocks of 4 rows against one
+        # block of all K rows
+        rng = np.random.default_rng(k)
+        y1 = sample(rng.standard_normal(300))
+        y2 = sample(2.0 * rng.standard_normal(301))
+        group_fits = fits(y1, y2, k, k + 1)
+        report, run = shar_wb_test(*group_fits, n_boot=199, seed=k, law=law)
+        monkeypatch.setattr(sharwb_mod, "_BLOCK_FREQS", 2)
+        report2, run2 = shar_wb_test(*group_fits, n_boot=199, seed=k, law=law)
+        want, got = run.replicate_stats, run2.replicate_stats
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert (run2.p_value, report2.reject) == (run.p_value, report.reject)
+        assert run2.crit_lo == pytest.approx(run.crit_lo, rel=1e-12)
+        assert run2.crit_hi == pytest.approx(run.crit_hi, rel=1e-12)
+
+    def test_traced_peak_at_the_bench_white_noise_shape(self):
+        # T = 10 000 white noise per group (K = 635 and 554), B = 399: the
+        # whole operators and both groups' draws took 22 MB at once; one
+        # group's draws and one 128-row block of its operator take 7 MB
+        rng = np.random.default_rng(1)
+        y1 = simulate_series(10_000, 0.0, 1.0, 0.0, "normal", rng)
+        y2 = simulate_series(10_000, 0.0, 1.0, 0.0, "normal", rng)
+        group_fits = fits(y1, y2)
+        assert [f.k for f in group_fits] == [635, 554]
+        tracemalloc.start()
+        try:
+            shar_wb_test(*group_fits, n_boot=399, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_traced_peak_stays_small_at_large_T(self):
         # T = 20 000 per group, B = 399: the dense multiplier path held

@@ -318,6 +318,25 @@ class TestRunCell:
                 tracemalloc.stop()
         assert peaks[2] < 1.1 * peaks[1], peaks
 
+    def test_seeds_spawned_one_chunk_at_a_time(self, monkeypatch):
+        # one replication of T = 8 per chunk: spawning every replication's
+        # SeedSequence before the first chunk grew the peak by ~350 bytes
+        # per replication.  A first run of 2 000 replications fills numpy's
+        # FFT caches and the interpreter's free lists, whose objects the
+        # trace would otherwise count as they accumulate.
+        monkeypatch.setattr(simlab_mod, "_MAX_BLOCK_DOUBLES", 9)
+        run_cell(Scenario(t1=8, t2=8, rho=0.5, seed=3, n_mc=2000, n_boot=19))
+        peaks = []
+        for n_mc in (40, 400):
+            sc = Scenario(t1=8, t2=8, rho=0.5, seed=3, n_mc=n_mc, n_boot=19)
+            tracemalloc.start()
+            try:
+                run_cell(sc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
     def test_replication_with_any_na_is_excluded(self, monkeypatch):
         # a constant first group leaves only t1_har NA (zero LRV, no adjusted
         # df); that alone excludes the replication
