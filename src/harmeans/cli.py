@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -43,18 +46,19 @@ EXIT_INTERNAL = 4
 _MIN_GROUP_LEN = 4
 
 
-def _lines(path: str, count: float = math.inf) -> list[tuple[int, str]]:
+def _lines(path: str, count: float = math.inf):
     """The lines up to the count-th non-blank one, with their file line numbers.  A line
     ends at \\n, \\r\\n or \\r, as for np.loadtxt, and keeps its ending for quoted cells."""
-    lines = []
     try:
+        # a pipe gives its lines once, and each read of the file opens the path anew
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise IngestError(f"{path}: not a regular file; save the input to a file first")
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             for no, ln in enumerate(fh, 1):
-                lines.append((no, ln))
+                yield no, ln
                 count -= ln.strip() != ""
                 if not count:
-                    break
-        return lines
+                    return
     except OSError as exc:
         raise IngestError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -77,21 +81,21 @@ def _dialect(head: list[tuple[int, str]]):
     return None
 
 
-def _rows(lines: list[tuple[int, str]], dialect, path: str) -> list[tuple[int, list[str]]]:
+def _rows(lines, dialect, path: str):
     """Each row's unstripped cells, numbered by the file line it starts on.  A blank
     line starts no row, but stays inside a quoted cell."""
     if dialect is None:
-        return [(no, ln.split()) for no, ln in lines if ln.strip()]
-    reader = csv.reader((ln for _, ln in lines), dialect)
-    rows, consumed = [], 0
+        yield from ((no, ln.split()) for no, ln in lines if ln.strip())
+        return
+    row_lines = []  # the numbered lines of the row being read
+    reader = csv.reader((row_lines.append(line) or line[1] for line in lines), dialect)
     try:
         for cells in reader:
-            if lines[consumed][1].strip():
-                rows.append((lines[consumed][0], cells))
-            consumed = reader.line_num
+            if row_lines[0][1].strip():
+                yield row_lines[0][0], cells
+            row_lines.clear()
     except csv.Error as exc:
-        raise IngestError(f"{path}: row {lines[consumed][0]}: {exc}") from exc
-    return rows
+        raise IngestError(f"{path}: row {row_lines[0][0]}: {exc}") from exc
 
 
 def _is_number(cell: str) -> bool:
@@ -106,17 +110,16 @@ def _is_number(cell: str) -> bool:
 
 
 def _layout(rows, path: str, selectors):
-    """The data rows after an optional header, and each selector's column index."""
-    first = [cell.strip() for cell in rows[0][1]]
+    """The first data row after an optional header, and each selector's column index.
+    A name is found in the header here; an index only where a data row is too short."""
+    first = next(rows)
+    cells = [cell.strip() for cell in first[1]]
     # a group label is text in a data row too, so its column cannot mark a header
     label_idx = _as_index(selectors[0]) if len(selectors) == 2 else None
-    titled = any(not _is_number(c) for i, c in enumerate(first) if c != "" and i != label_idx)
-    header = first if titled else None
-    if titled and len(rows) == 1:
+    titled = any(not _is_number(c) for i, c in enumerate(cells) if c != "" and i != label_idx)
+    if titled and (first := next(rows, None)) is None:
         raise IngestError(f"{path}: contains a header but no data rows")
-    data = rows[header is not None:]
-    width = max(len(cells) for _, cells in data)
-    return data, [_column_index(s, header, width, path) for s in selectors]
+    return first, [_column_index(s, cells if titled else None, path) for s in selectors]
 
 
 def _as_index(selector) -> int | None:
@@ -126,17 +129,11 @@ def _as_index(selector) -> int | None:
     return None
 
 
-class _WidthError(IngestError):
-    """A column index past the width of the rows read."""
-
-
-def _column_index(selector, header: list[str] | None, width: int, path: str) -> int:
+def _column_index(selector, header: list[str] | None, path: str) -> int:
     if selector is None:
         return 0
     idx = _as_index(selector)
     if idx is not None:
-        if not 0 <= idx < width:
-            raise _WidthError(f"{path}: column index {idx} out of range (width {width})")
         return idx
     if header is None:
         raise IngestError(f"{path}: column name {selector!r} given but the file has no header")
@@ -175,45 +172,52 @@ def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
     """The data rows' floats in the last selected column and, given two, their
     stripped labels in the first.  np.loadtxt reads them in C; only when it
     declines the layout, or returns a value that is not finite or an empty
-    label, are the rows read in Python, cell by cell, to name the first fault."""
-    head = _lines(path, 20)
+    label, are the rows read in Python, one at a time, to name the first fault."""
+    head = list(_lines(path, 20))
     sample = [(no, ln) for no, ln in head if ln.strip()]
     if not sample:
         raise IngestError(f"{path}: file is empty")
     dialect = _dialect(sample)
-    rows = _rows(head, dialect, path)
+    rows = list(_rows(head, dialect, path))
     try:
-        data, idx = _layout(rows, path, selectors)
-        if dialect is None or not _quotes_differ(path, dialect):
+        first, idx = _layout(iter(rows), path, selectors)
+        # np.loadtxt would read a negative index from the end of each row
+        if min(idx) >= 0 and (dialect is None or not _quotes_differ(path, dialect)):
             quoting = {} if dialect is None else {
                 "delimiter": dialect.delimiter, "quotechar": dialect.quotechar}
             table = np.loadtxt(
                 path, [("g", object), ("v", np.float64)][-len(idx):], comments=None,
-                usecols=idx, skiprows=data[0][0] - 1, ndmin=1, encoding="utf-8-sig", **quoting
+                usecols=idx, skiprows=first[0] - 1, ndmin=1, encoding="utf-8-sig", **quoting
             )
             labels = [label.strip() for label in table["g"].tolist()] if len(idx) == 2 else []
             if np.isfinite(table["v"]).all() and "" not in labels:
                 return table["v"], labels
-    except _WidthError:
-        pass  # checked below against the whole file's width
     except IngestError:
         if len(rows) > 1 or len(sample) < 20:
             raise  # the head holds the whole first row, so the header and names are final
     except ValueError:
         pass
-    # np.loadtxt has no field limit, so the whole-file read lifts the csv one
+    # np.loadtxt has no field limit, so the Python read lifts the csv one
     limit = csv.field_size_limit(2**31 - 1)
+    lines = _lines(path)
     try:
-        rows = _rows(_lines(path), dialect, path)
+        rows = _rows(lines, dialect, path)
+        first, idx = _layout(rows, path, selectors)
+        given = [i for s, i in zip(selectors, idx) if _as_index(s) is not None]
+        if not all(0 <= i < len(first[1]) for i in given):
+            width = max(len(cells) for _, cells in itertools.chain([first], rows))
+            for i in given:
+                if not 0 <= i < width:
+                    raise IngestError(f"{path}: column index {i} out of range (width {width})")
+        values, labels = [], []
+        for no, cells in itertools.chain([first], rows):
+            if len(idx) == 2 and (idx[0] >= len(cells) or cells[idx[0]].strip() == ""):
+                raise IngestError(f"{path}: row {no}: missing group label")
+            labels += [cells[i].strip() for i in idx[:-1]]  # the label, given two columns
+            values.append(_parse_cell(cells, idx[-1], no, path))
     finally:
+        lines.close()  # a fault stops the read early; the file closes now, not at collection
         csv.field_size_limit(limit)
-    data, idx = _layout(rows, path, selectors)
-    values = []
-    for no, cells in data:
-        if len(idx) == 2 and (idx[0] >= len(cells) or cells[idx[0]].strip() == ""):
-            raise IngestError(f"{path}: row {no}: missing group label")
-        values.append(_parse_cell(cells, idx[-1], no, path))
-    labels = [cells[idx[0]].strip() for _, cells in data] if len(idx) == 2 else []
     return np.array(values, dtype=np.float64), labels
 
 
@@ -227,7 +231,8 @@ def read_grouped(path: str, group_col, value_col) -> tuple[np.ndarray, np.ndarra
     values, labels = _read(path, (group_col, value_col))
     order = list(dict.fromkeys(labels))
     if len(order) != 2:
-        raise IngestError(f"{path}: expected exactly 2 group labels, found {len(order)}: {order}")
+        shown = repr(order) if len(order) <= 5 else repr(order[:5])[:-1] + ", ...]"
+        raise IngestError(f"{path}: expected exactly 2 group labels, found {len(order)}: {shown}")
     first = np.fromiter(map(order[0].__eq__, labels), bool, len(labels))
     return values[first], values[~first]
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -128,11 +129,25 @@ class TestReadSeries:
         path = write(tmp_path / "fine.csv", 't,y,note\n1,2.5,"a\nb"\n3,4.5,c\n')
         assert read_series(path, "y").tolist() == [2.5, 4.5]
 
+    def test_first_fault_in_file_order(self, tmp_path):
+        # the rows are read as a stream, so a byte that is not UTF-8 past the
+        # bad value is not reached
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"y\n1.0\nabc\n" + b"2.0\n" * 30_000 + b"caf\xe9\n")
+        with pytest.raises(IngestError) as exc:
+            read_series(str(path))
+        assert str(exc.value) == f"{path}: row 3: non-numeric value 'abc'"
+
     def test_missing_value_names_its_column(self, tmp_path):
         path = write(tmp_path / "wide.csv", "a,b,c\n1,2,3\n4,5,\n")
         with pytest.raises(IngestError) as exc:
             read_series(path, "c")
         assert str(exc.value) == f"{path}: row 3: missing value in column 2"
+        # a column found by name is not checked against the width of the data rows
+        path = write(tmp_path / "narrow.csv", "a,b,c\n1,2\n4,5\n")
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "c")
+        assert str(exc.value) == f"{path}: row 2: missing value in column 2"
 
     @pytest.mark.parametrize(
         ("text", "column", "message", "reads"),
@@ -144,8 +159,10 @@ class TestReadSeries:
             # an index is checked against the width of the whole file
             ("a,b\n" + "1,2\n" * 25 + "1,2,3\n", "5", "column index 5 out of range (width 3)",
              [(20,), ()]),
+            # np.loadtxt would read column -1 as the last one
+            ("a,b\n" + "1,2\n" * 25, "-1", "column index -1 out of range (width 2)", [(20,), ()]),
         ],
-        ids=["unknown-name", "name-without-header", "header-only", "index"],
+        ids=["unknown-name", "name-without-header", "header-only", "index", "negative-index"],
     )
     def test_layout_fault_read_once(self, tmp_path, monkeypatch, text, column, message, reads):
         # once the first 20 non-blank lines hold the whole first row, the
@@ -252,6 +269,26 @@ class TestReadGrouped:
         path = write(tmp_path / "g.csv", "g,y\n1,1.0\n2,2.0\n3,3.0\n")
         with pytest.raises(IngestError, match="exactly 2 group labels"):
             read_grouped(path, "g", "y")
+
+    def test_many_labels_are_named_up_to_five(self, tmp_path):
+        # a value column given as the group column makes a label of every row
+        path = write(tmp_path / "g.csv", "g,y\n" + "".join(f"a,{i}.5\n" for i in range(10_000)))
+        with pytest.raises(IngestError) as exc:
+            read_grouped(path, "y", "y")
+        assert str(exc.value) == (
+            f"{path}: expected exactly 2 group labels, found 10000: "
+            "['0.5', '1.5', '2.5', '3.5', '4.5', ...]"
+        )
+
+    def test_unknown_name_is_named_before_an_index_out_of_range(self, tmp_path):
+        # a name is resolved in the header, before any data row is read
+        path = write(tmp_path / "g.csv", "g,y\na,1.5\nb,2.5\n")
+        with pytest.raises(IngestError) as exc:
+            read_grouped(path, "5", "nosuch")
+        assert str(exc.value) == f"{path}: no column named 'nosuch' in header ['g', 'y']"
+        with pytest.raises(IngestError) as exc:
+            read_grouped(path, "5", "y")
+        assert str(exc.value) == f"{path}: column index 5 out of range (width 2)"
 
     def test_byte_order_mark_before_header(self, tmp_path):
         path = write(tmp_path / "bom.csv", "\ufeffgroup,value\na,1.0\nb,2.0\na,3.0\nb,4.0\n")
@@ -560,6 +597,44 @@ def test_read_series_memory_is_bounded(tmp_path):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestPythonReadMemory:
+    """The Python read holds one row at a time: it names a fault near the top
+    without reading on, and keeps only the values and labels of the rest."""
+
+    Y = np.random.default_rng(6).standard_normal(200_000).tolist()
+
+    @staticmethod
+    def _traced(read, *args):
+        tracemalloc.start()
+        try:
+            got = _outcome(read, *args)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fault_in_the_first_data_row(self, tmp_path):
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(self.Y[1:], 1))
+        path = write(tmp_path / "a.csv", "t,value\n0,abc\n" + rows)
+        got, peak = self._traced(read_series, path, "value")
+        assert got == f"{path}: row 2: non-numeric value 'abc'"
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_quoted_file_read_in_python(self, tmp_path):
+        # a quote after a space: np.loadtxt would read it unlike the sniffed dialect
+        rows = "".join(f'{i}, "a, b", {v!r}\n' for i, v in enumerate(self.Y))
+        path = write(tmp_path / "q.csv", "t, note, y\n" + rows)
+        got, peak = self._traced(read_series, path, "y")
+        assert got == [(np.dtype(np.float64), np.array(self.Y).tobytes())]
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_non_finite_value_in_the_last_grouped_row(self, tmp_path):
+        rows = "".join(f"{'ab'[i % 2]},{v!r}\n" for i, v in enumerate(self.Y[:-1]))
+        path = write(tmp_path / "g.csv", "g,y\n" + rows + "b,inf\n")
+        got, peak = self._traced(read_grouped, path, "g", "y")
+        assert got == f"{path}: row {len(self.Y) + 1}: non-finite value 'inf'"
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestTestCommand:
     def test_two_file_run_exit_zero(self, wfh_shape_files, tmp_path, capsys):
         f1, f2 = wfh_shape_files
@@ -677,6 +752,25 @@ class TestTestCommand:
         code = main(["test", "--y1", str(tmp_path / "nope.csv"),
                      "--y2", str(tmp_path / "nope2.csv")])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("mode", ["y1", "data"])
+    def test_piped_input_is_an_input_error(self, tmp_path, capsys, mode):
+        # a pipe gives its lines once; reading the path again would drop the first ones
+        good = write(tmp_path / "good.csv", "y\n1.0\n2.5\n3.0\n4.5\n5.0\n")
+        read_end, write_end = os.pipe()
+        os.write(write_end, "".join(f"{'ab'[i % 2]},{i}.5\n" for i in range(12)).encode())
+        os.close(write_end)
+        try:
+            pipe = f"/dev/fd/{read_end}"
+            flags = (["--y1", pipe, "--y2", good, "--col1", "1"] if mode == "y1" else
+                     ["--data", pipe, "--group-col", "0", "--value-col", "1"])
+            code = main(["test", *flags, "--B", "49"])
+        finally:
+            os.close(read_end)
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {pipe}: not a regular file; save the input to a file first\n"
+        )
 
     def test_non_utf8_file_exit_input(self, tmp_path, capsys):
         good = write(tmp_path / "good.csv", "y\n1.0\n2.5\n3.0\n4.5\n5.0\n")
