@@ -12,8 +12,9 @@ pair cos(2 pi l t/T), sin(2 pi l t/T), whose sums against u are Re U(l) and
 -Im U(l).  The LRV coefficients of u times a bootstrap basis function are
 half sums and differences of U at m - l and m + l.  The transform is taken
 once per sample (``TimeSeriesSample.spectrum``); the readers below take that
-length-T spectrum and slice it.  Every function works along axis 0, so a
-(T, n) array is n series at once.
+length-T spectrum and slice it.  ``dft``, ``coefficients`` and
+``cos_sin_sums`` work along axis 0, so a (T, n) array is n series at once;
+``modulated_coefficients`` takes one series.
 """
 
 from __future__ import annotations

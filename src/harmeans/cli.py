@@ -46,19 +46,15 @@ EXIT_INTERNAL = 4
 _MIN_GROUP_LEN = 4
 
 
-def _lines(path: str, count: float = math.inf):
-    """The lines up to the count-th non-blank one, with their file line numbers.  A line
-    ends at \\n, \\r\\n or \\r, as for np.loadtxt, and keeps its ending for quoted cells."""
+def _lines(path: str):
+    """The file's lines with their line numbers.  A line ends at \\n, \\r\\n or \\r,
+    as for np.loadtxt, and keeps its ending for quoted cells."""
     try:
-        # a pipe gives its lines once, and each read of the file opens the path anew
+        # a pipe gives its lines once, and np.loadtxt opens the path anew
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise IngestError(f"{path}: not a regular file; save the input to a file first")
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            for no, ln in enumerate(fh, 1):
-                yield no, ln
-                count -= ln.strip() != ""
-                if not count:
-                    return
+            yield from enumerate(fh, 1)
     except OSError as exc:
         raise IngestError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -109,19 +105,6 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _layout(rows, path: str, selectors):
-    """The first data row after an optional header, and each selector's column index.
-    A name is found in the header here; an index only where a data row is too short."""
-    first = next(rows)
-    cells = [cell.strip() for cell in first[1]]
-    # a group label is text in a data row too, so its column cannot mark a header
-    label_idx = _as_index(selectors[0]) if len(selectors) == 2 else None
-    titled = any(not _is_number(c) for i, c in enumerate(cells) if c != "" and i != label_idx)
-    if titled and (first := next(rows, None)) is None:
-        raise IngestError(f"{path}: contains a header but no data rows")
-    return first, [_column_index(s, cells if titled else None, path) for s in selectors]
-
-
 def _as_index(selector) -> int | None:
     """The column index a selector names, or None for a column name."""
     if isinstance(selector, int) or (isinstance(selector, str) and selector.lstrip("-").isdigit()):
@@ -170,39 +153,45 @@ def _quotes_differ(path: str, dialect) -> bool:
 
 def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
     """The data rows' floats in the last selected column and, given two, their
-    stripped labels in the first.  np.loadtxt reads them in C; only when it
-    declines the layout, or returns a value that is not finite or an empty
-    label, are the rows read in Python, one at a time, to name the first fault."""
-    head = list(_lines(path, 20))
-    sample = [(no, ln) for no, ln in head if ln.strip()]
-    if not sample:
-        raise IngestError(f"{path}: file is empty")
-    dialect = _dialect(sample)
-    rows = list(_rows(head, dialect, path))
+    stripped labels in the first.  One stream of the file's lines gives the
+    sniff sample, the header and the first data row; np.loadtxt then reads the
+    columns in C.  Only when it declines the layout, or returns a value that is
+    not finite or an empty label, does the Python read go on along the stream,
+    one row at a time, to name the first fault."""
+    stream = _lines(path)
+    lines, ahead = itertools.tee(stream)
+    limit = csv.field_size_limit()
     try:
-        first, idx = _layout(iter(rows), path, selectors)
+        sample = list(itertools.islice((line for line in ahead if line[1].strip()), 20))
+        del ahead  # so the rows free the sample's lines as they pass them
+        if not sample:
+            raise IngestError(f"{path}: file is empty")
+        dialect = _dialect(sample)
+        rows = _rows(lines, dialect, path)
+        first = next(rows)
+        head = [cell.strip() for cell in first[1]]
+        # a group label is text in a data row too, so its column cannot mark a header
+        label_idx = _as_index(selectors[0]) if len(selectors) == 2 else None
+        titled = any(not _is_number(c) for i, c in enumerate(head) if c != "" and i != label_idx)
+        if titled and (first := next(rows, None)) is None:
+            raise IngestError(f"{path}: contains a header but no data rows")
+        idx = [_column_index(s, head if titled else None, path) for s in selectors]
+        # np.loadtxt has no field limit, so past the first data row the csv one is lifted
+        csv.field_size_limit(2**31 - 1)
         # np.loadtxt would read a negative index from the end of each row
         if min(idx) >= 0 and (dialect is None or not _quotes_differ(path, dialect)):
             quoting = {} if dialect is None else {
                 "delimiter": dialect.delimiter, "quotechar": dialect.quotechar}
-            table = np.loadtxt(
-                path, [("g", object), ("v", np.float64)][-len(idx):], comments=None,
-                usecols=idx, skiprows=first[0] - 1, ndmin=1, encoding="utf-8-sig", **quoting
-            )
-            labels = [label.strip() for label in table["g"].tolist()] if len(idx) == 2 else []
-            if np.isfinite(table["v"]).all() and "" not in labels:
-                return table["v"], labels
-    except IngestError:
-        if len(rows) > 1 or len(sample) < 20:
-            raise  # the head holds the whole first row, so the header and names are final
-    except ValueError:
-        pass
-    # np.loadtxt has no field limit, so the Python read lifts the csv one
-    limit = csv.field_size_limit(2**31 - 1)
-    lines = _lines(path)
-    try:
-        rows = _rows(lines, dialect, path)
-        first, idx = _layout(rows, path, selectors)
+            try:
+                table = np.loadtxt(
+                    path, [("g", object), ("v", np.float64)][-len(idx):], comments=None,
+                    usecols=idx, skiprows=first[0] - 1, ndmin=1, encoding="utf-8-sig", **quoting
+                )
+                labels = [label.strip() for label in table["g"].tolist()] if len(idx) == 2 else []
+                if np.isfinite(table["v"]).all() and "" not in labels:
+                    return table["v"], labels
+            except ValueError:
+                pass  # the Python read names the fault
         given = [i for s, i in zip(selectors, idx) if _as_index(s) is not None]
         if not all(0 <= i < len(first[1]) for i in given):
             width = max(len(cells) for _, cells in itertools.chain([first], rows))
@@ -216,7 +205,7 @@ def _read(path: str, selectors) -> tuple[np.ndarray, list[str]]:
             labels += [cells[i].strip() for i in idx[:-1]]  # the label, given two columns
             values.append(_parse_cell(cells, idx[-1], no, path))
     finally:
-        lines.close()  # a fault stops the read early; the file closes now, not at collection
+        stream.close()  # a fault stops the read early; the file closes now, not at collection
         csv.field_size_limit(limit)
     return np.array(values, dtype=np.float64), labels
 

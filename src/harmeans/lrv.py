@@ -85,7 +85,7 @@ def _calling_thread_blas():
             put(n_threads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesSample:
     """One group's observations with cached mean, demeaned residuals, their
     read-only transform ``spectrum = basis.dft(residuals)`` and their sum of
@@ -94,8 +94,8 @@ class TimeSeriesSample:
     values: np.ndarray
     mean: float
     residuals: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    _energy: float = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
+    _energy: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         with _calling_thread_blas(), np.errstate(over="ignore"):
@@ -108,6 +108,8 @@ class TimeSeriesSample:
 
     @classmethod
     def from_values(cls, values) -> "TimeSeriesSample":
+        if np.iscomplexobj(values):
+            raise DomainError("sample must be real-valued")
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise DomainError(f"sample must be one-dimensional, got shape {arr.shape}")
@@ -137,7 +139,7 @@ class TimeSeriesSample:
         return float(self._energy / (self.n - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LrvEstimate:
     """A long-run variance value with its basis count and coefficients, and
     the sample it was taken on."""
@@ -145,7 +147,7 @@ class LrvEstimate:
     omega: float
     k: int
     coefficients: np.ndarray = field(repr=False)
-    sample: TimeSeriesSample = field(repr=False, compare=False)
+    sample: TimeSeriesSample = field(repr=False)
 
 
 @dataclass(frozen=True)

@@ -189,19 +189,9 @@ def shar_wb_test(
     p_value = 2.0 * min(ecdf_at_stat, 1.0 - ecdf_at_stat)
 
     stats.flags.writeable = False
-    run = BootstrapRun(
-        replicate_stats=stats,
-        crit_lo=crit_lo,
-        crit_hi=crit_hi,
-        p_value=p_value,
-        B=n_boot,
-        seed=seed,
-        k_star1=k1,
-        k_star2=k2,
-        K1=k1,
-        K2=k2,
-        n_redrawn=n_redrawn,
-    )
+    facts = {"k_star1": k1, "k_star2": k2, "crit_lo": crit_lo, "crit_hi": crit_hi,
+             "B": n_boot, "seed": seed, "n_redrawn": n_redrawn}
+    run = BootstrapRun(replicate_stats=stats, p_value=p_value, K1=k1, K2=k2, **facts)
     report = TestReport(
         name="t1_har_boot",
         statistic=stat,
@@ -209,16 +199,6 @@ def shar_wb_test(
         p_value=p_value,
         alpha=alpha,
         reject=reject,
-        detail={
-            **detail,
-            "mu_pooled": _pooled_mean(lrv1.sample, lrv2.sample),
-            "k_star1": k1,
-            "k_star2": k2,
-            "crit_lo": crit_lo,
-            "crit_hi": crit_hi,
-            "B": n_boot,
-            "seed": seed,
-            "n_redrawn": n_redrawn,
-        },
+        detail={**detail, "mu_pooled": _pooled_mean(lrv1.sample, lrv2.sample), **facts},
     )
     return report, run

@@ -150,23 +150,20 @@ class TestReadSeries:
         assert str(exc.value) == f"{path}: row 2: missing value in column 2"
 
     @pytest.mark.parametrize(
-        ("text", "column", "message", "reads"),
+        ("text", "column", "message"),
         [
-            ("t,y\n" + "1,1.5\n" * 50, "valu", "no column named 'valu' in header ['t', 'y']",
-             [(20,)]),
-            ("1.5\n" * 50, "y", "column name 'y' given but the file has no header", [(20,)]),
-            ("\ny\n\n", None, "contains a header but no data rows", [(20,)]),
+            ("t,y\n" + "1,1.5\n" * 50, "valu", "no column named 'valu' in header ['t', 'y']"),
+            ("1.5\n" * 50, "y", "column name 'y' given but the file has no header"),
+            ("\ny\n\n", None, "contains a header but no data rows"),
             # an index is checked against the width of the whole file
-            ("a,b\n" + "1,2\n" * 25 + "1,2,3\n", "5", "column index 5 out of range (width 3)",
-             [(20,), ()]),
+            ("a,b\n" + "1,2\n" * 25 + "1,2,3\n", "5", "column index 5 out of range (width 3)"),
             # np.loadtxt would read column -1 as the last one
-            ("a,b\n" + "1,2\n" * 25, "-1", "column index -1 out of range (width 2)", [(20,), ()]),
+            ("a,b\n" + "1,2\n" * 25, "-1", "column index -1 out of range (width 2)"),
         ],
         ids=["unknown-name", "name-without-header", "header-only", "index", "negative-index"],
     )
-    def test_layout_fault_read_once(self, tmp_path, monkeypatch, text, column, message, reads):
-        # once the first 20 non-blank lines hold the whole first row, the
-        # header and the column names are final
+    def test_layout_fault_read_once(self, tmp_path, monkeypatch, text, column, message):
+        # one stream of the file's lines gives the sniff, the header and the rows
         counts = []
         lines = cli._lines
 
@@ -179,7 +176,28 @@ class TestReadSeries:
         with pytest.raises(IngestError) as exc:
             read_series(path, column)
         assert str(exc.value) == f"{path}: {message}"
-        assert counts == reads
+        assert counts == [()]
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["c-read", "python-read"])
+    def test_field_limit_holds_for_the_header_and_first_data_row(
+        self, tmp_path, request, forced
+    ):
+        # a cell longer than the csv module's limit (131 072) in an unused column
+        # is read past the first data row, as np.loadtxt reads it, and named there
+        def note_on(line):
+            return "t,y,note\n" + "".join(
+                f"{i},{i}.5,{'n' * 200_000 if i == line - 1 else 'n'}\n" for i in range(1, 31)
+            )
+
+        if forced:
+            request.getfixturevalue("python_read")
+        path = write(tmp_path / "late.csv", note_on(5))
+        assert read_series(path, "y").tolist() == [i + 0.5 for i in range(1, 31)]
+        path = write(tmp_path / "first.csv", note_on(2))
+        with pytest.raises(IngestError) as exc:
+            read_series(path, "y")
+        assert str(exc.value) == f"{path}: row 2: field larger than field limit (131072)"
+        assert csv.field_size_limit() == 131_072
 
 
 class TestSniff:

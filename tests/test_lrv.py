@@ -70,6 +70,22 @@ class TestTimeSeriesSample:
         vals = [0.0, 2.0]
         assert sample(vals).variance() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "values", [np.array([1 + 2j, 3, 4, 5]), [1 + 2j, 3.0, 4.0, 5.0]], ids=["array", "list"]
+    )
+    @pytest.mark.filterwarnings("error")  # numpy's ComplexWarning is not the signal
+    def test_complex_values_are_rejected(self, values):
+        with pytest.raises(DomainError, match="^sample must be real-valued$"):
+            sample(values)
+
+    def test_equality_is_identity_and_both_types_hash(self):
+        # the array fields would make a field-by-field == ambiguous
+        a, b = (sample([1.0, 2.0, 4.0, 3.0, 5.0]) for _ in range(2))
+        assert a == a and a != b
+        fa, fb = series_lrv(a, 2), series_lrv(a, 2)
+        assert fa == fa and fa != fb
+        assert len({a, b, fa, fb}) == 4
+
 
 class TestSeriesLrv:
     def test_constant_series_gives_zero(self):
