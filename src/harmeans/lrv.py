@@ -56,6 +56,7 @@ def _openblas_threads():
 
 
 _BLAS_THREADS_LOCK = threading.Lock()
+_blas_guard = threading.local()  # .held: this thread is inside the guard
 
 
 @contextlib.contextmanager
@@ -69,19 +70,23 @@ def _calling_thread_blas():
     the rest of the process.  One thread also makes the products, and so the
     replicate statistics, independent of the machine's core count.  The
     thread count is process-wide: the lock keeps concurrent callers from
-    restoring each other's setting.  Other BLAS libraries are left alone.
+    restoring each other's setting.  An entry nested in another on the same
+    thread does nothing, so only the outermost exit restores the count.
+    Other BLAS libraries are left alone.
     """
     calls = _openblas_threads()
-    if calls is None:
+    if calls is None or getattr(_blas_guard, "held", False):
         yield
         return
     get, put = calls
     with _BLAS_THREADS_LOCK:
         n_threads = get()
         put(1)
+        _blas_guard.held = True
         try:
             yield
         finally:
+            _blas_guard.held = False
             put(n_threads)
 
 
@@ -94,37 +99,46 @@ class TimeSeriesSample:
     values: np.ndarray
     mean: float
     residuals: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
-    _energy: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        with _calling_thread_blas(), np.errstate(over="ignore"):
-            object.__setattr__(self, "_energy", self.residuals.dot(self.residuals))
-        if not math.isfinite(self._energy):
-            raise DomainError("sample values too large: residual sum of squares is not finite")
-        spectrum = basis.dft(self.residuals)
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "spectrum", spectrum)
+    spectrum: np.ndarray = field(repr=False)
+    _energy: float = field(repr=False)
 
     @classmethod
     def from_values(cls, values) -> "TimeSeriesSample":
-        if np.iscomplexobj(values):
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
             raise DomainError("sample must be real-valued")
-        arr = np.asarray(values, dtype=np.float64)
+        if arr.dtype.kind in "OSUV":
+            raise DomainError(f"sample must be numeric, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 1:
             raise DomainError(f"sample must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:
             raise DomainError(f"sample needs at least 2 observations, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        return cls._from_rows(arr[None])[0]
+
+    @classmethod
+    def _from_rows(cls, block: np.ndarray) -> list["TimeSeriesSample"]:
+        """One sample per row of an (R, T) float block, T >= 2, built together:
+        a mean per row, one ``basis.dft`` of the (T, R) residual block and a
+        sum of squares per row, each value as a lone row would get it."""
+        if not np.all(np.isfinite(block)):
             raise DomainError("sample contains non-finite values")
-        arr = arr.copy()
+        values = block.copy()
         # an overflow, or inf - inf, here fails the energy check
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(arr.mean())
-            resid = arr - mean
-        arr.flags.writeable = False
-        resid.flags.writeable = False
-        return cls(values=arr, mean=mean, residuals=resid)
+            means = values.mean(axis=1)
+            resid = values - means[:, None]
+        with _calling_thread_blas(), np.errstate(over="ignore"):
+            energies = [u.dot(u) for u in resid]
+        if not all(map(math.isfinite, energies)):
+            raise DomainError("sample values too large: residual sum of squares is not finite")
+        spectra = basis.dft(resid.T)
+        for arr in (values, resid, spectra):
+            arr.flags.writeable = False
+        return [
+            cls(values=v, mean=float(m), residuals=u, spectrum=f, _energy=e)
+            for v, m, u, f, e in zip(values, means, resid, spectra.T, energies)
+        ]
 
     @property
     def n(self) -> int:

@@ -23,21 +23,30 @@ to zero on the grid.  So per group a replicate needs only mean(u*eta) = w.v
 and the K LRV coefficients A v of u*eta, with the 2K* innovations v stacked
 as the cosine block, then the sine block.  w and the K x 2K* matrix A are
 read off one transform of the residuals, the sample's ``spectrum`` (see
-``basis``); no T-long multiplier is formed.  The groups are taken one at a
-time, and A is formed in blocks of 128 rows, so memory holds one group's
-draws and one block of its A.  Critical values are empirical quantiles of
-the replicate statistics.
+``basis``); no T-long multiplier is formed.  Critical values are empirical
+quantiles of the replicate statistics.
+
+``shar_wb_test`` takes one pair of groups or a sequence of pairs, each
+with its own seed, and bootstraps them together.  The groups are taken one
+at a time.  A group's pairs are bucketed by its K, and each bucket is
+applied as stacked products, in sub-batches of at most
+``_MAX_STACK_DOUBLES`` doubles (one pair at least), with A formed in blocks
+of 128 rows.  So memory holds one sub-batch's draws and one block of their
+A; for one pair, that is one group's draws and one block of its A.  Every
+pair draws from its own streams, so its replicates do not depend on the
+other pairs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis
-from .errors import DegenerateReplicatesError, DomainError
+from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
 from .lrv import LrvEstimate, TimeSeriesSample, _calling_thread_blas
 from .statdist import DistKind, RefDistribution
 from .ttests import TestReport, _har_welch_statistic, _validate_alpha
@@ -50,6 +59,10 @@ _MAX_CONSECUTIVE_REDRAWS = 100
 # Bootstrap frequencies per block of the operator A: each block is
 # 2 * _BLOCK_FREQS rows by 2K* columns, so at K* <= 64 A is one block.
 _BLOCK_FREQS = 64
+
+# Most doubles of draws, operator rows and products held at once for pairs
+# stacked on one group's K: a bucket is taken in sub-batches of this size.
+_MAX_STACK_DOUBLES = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,74 +82,144 @@ class BootstrapRun:
     n_redrawn: int = 0
 
 
-def _draw_innovations(rng: np.random.Generator, shape, law: str) -> np.ndarray:
+def _draw_innovations(rng: np.random.Generator, law: str, out: np.ndarray) -> None:
+    """Fill ``out`` with iid innovations of the given law."""
     if law == NORMAL_INNOVATIONS:
-        return rng.standard_normal(shape)
-    if law == RADEMACHER_INNOVATIONS:
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    raise DomainError(f"unknown innovation law {law!r}")
+        rng.standard_normal(out=out)
+    else:
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
+
+
+def _draws(streams, law: str):
+    """``draw(g, idx, shape)``: a new array of that shape, (len(idx), 2, K*,
+    ...), whose row for pair i is drawn from ``streams[i][g]``, a Generator
+    or a SeedSequence to start one from."""
+
+    def draw(g, idx, shape):
+        out = np.empty(shape)
+        for row, i in zip(out, idx):
+            _draw_innovations(np.random.default_rng(streams[i][g]), law, row)
+        return out
+
+    return draw
 
 
 def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
     return (y1.n * y1.mean + y2.n * y2.mean) / (y1.n + y2.n)
 
 
-def _group_moments(lrv: LrvEstimate, v: np.ndarray):
-    """One group's w.v and replicate LRV over T, the column mean of (A v)^2,
-    for innovations v of shape (2, K*, B), or (2, K*) for one replicate.
+def _group_moments(fits, v: np.ndarray):
+    """w.v and the replicate LRV over T, the mean over rows of (A v)^2, of R
+    fits that share one K, for innovations v of shape (R, 2, K*, B), or
+    (R, 2, K*) for one replicate each; both come back as (R, B), or (R,).
 
-    A, the K x 2K* operator scaled by T^{-1/2}, is formed _BLOCK_FREQS
-    frequencies (twice as many rows) at a time.  A buffer's leading row holds
-    the sums of the blocks before, so with B >= 2 the column sums add the
+    Each fit's A, the K x 2K* operator scaled by T^{-1/2}, is formed
+    _BLOCK_FREQS frequencies (twice as many rows) at a time, and the R
+    blocks are applied as one stacked product.  A buffer's leading row
+    holds the sums of the blocks before, so with B >= 2 the sums add the
     rows in the order of one sum over all of (A v)^2."""
-    sample, k = lrv.sample, lrv.k
-    v = v.reshape(2 * k, *v.shape[2:])
-    cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k)
-    w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k))
+    k, batch = fits[0].k, v.shape[3:]
+    v = v.reshape(len(fits), 2 * k, -1)
+    w = np.empty((len(fits), 1, 2 * k))
+    for w_fit, fit in zip(w[:, 0], fits):
+        w_fit[:k], w_fit[k:] = basis.cos_sin_sums(fit.sample.spectrum, k)
+        w_fit /= fit.sample.n * math.sqrt(k)
     rows = min(k, 2 * _BLOCK_FREQS)
-    buf = np.empty((1 + rows, *v.shape[1:]))
-    mean = w.dot(v)
+    buf = np.empty((len(fits), 1 + rows, v.shape[2]))
+    mean = np.matmul(w, v)
     for lo in range(0, k, rows):
-        a = basis.modulated_coefficients(sample.spectrum, k, k, lo, lo + rows)
-        a /= math.sqrt(sample.n * k)
-        z = buf[1 : 1 + a.shape[0]]
-        np.dot(a, v, out=z)
+        blocks = [basis.modulated_coefficients(fit.sample.spectrum, k, k, lo, lo + rows)
+                  for fit in fits]
+        for block, fit in zip(blocks, fits):
+            block /= math.sqrt(fit.sample.n * k)
+        # a lone fit's block is used as it is: a stacked copy would double it
+        a = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        z = buf[:, 1 : 1 + a.shape[1]]
+        np.matmul(a, v, out=z)
         z *= z
         # the first block has no running sum to add to
-        buf[0] = buf[0 if lo else 1 : 1 + a.shape[0]].sum(axis=0)
-    return mean, buf[0] / k
+        buf[:, 0] = buf[:, 0 if lo else 1 : 1 + a.shape[1]].sum(axis=1)
+    shape = (len(fits), *batch)
+    return mean.reshape(shape), (buf[:, 0] / k).reshape(shape)
 
 
-def _replicate_stats(fits, draw) -> np.ndarray:
-    """Studentized replicate statistics of the two groups' LRV fits.
+def _replicate_stats(pairs, draw, batch=()) -> np.ndarray:
+    """Studentized replicate statistics, of shape (R, *batch), of R pairs of
+    LRV fits.
 
-    ``draw(g)`` returns group g's innovations.  The groups are taken in
-    turn, so one group's draws and operator block are freed before the
-    next group's are made; the products run on the calling thread.
-    Degenerate replicates (zero bootstrap LRV in both groups) come back as
-    NaN for the caller to handle.
+    ``draw(g, idx, shape)`` returns group g's innovations for the pairs idx
+    (see ``_draws``).  The groups are taken in turn; a group's pairs are
+    bucketed by its K and taken in sub-batches of at most
+    _MAX_STACK_DOUBLES doubles, so one sub-batch's draws and operator block
+    are freed before the next are made.  The products run on the calling
+    thread.  Degenerate replicates (zero bootstrap LRV in both groups) come
+    back as NaN for the caller to handle.
     """
+    per_pair = math.prod(batch)
+    # mean differences and LRV sums: group 1's moments, less or plus group 2's
+    num = np.empty((len(pairs), *batch))
+    denom_sq = np.empty_like(num)
     with _calling_thread_blas():
-        (m1, o1), (m2, o2) = [_group_moments(fit, draw(g)) for g, fit in enumerate(fits)]
-    num, denom_sq = m1 - m2, o1 + o2
-    return np.divide(num, np.sqrt(denom_sq), out=np.full_like(num, np.nan), where=denom_sq > 0.0)
+        for g in (0, 1):
+            buckets = {}
+            for i, pair in enumerate(pairs):
+                buckets.setdefault(pair[g].k, []).append(i)
+            for k, idx in buckets.items():
+                rows = min(k, 2 * _BLOCK_FREQS)
+                step = max(1, _MAX_STACK_DOUBLES // ((2 * k + rows) * per_pair + rows * 2 * k))
+                for lo in range(0, len(idx), step):
+                    sub = idx[lo : lo + step]
+                    mean, lrv = _group_moments(
+                        [pairs[i][g] for i in sub], draw(g, sub, (len(sub), 2, k, *batch))
+                    )
+                    if g == 0:
+                        num[sub], denom_sq[sub] = mean, lrv
+                    else:
+                        num[sub] -= mean
+                        denom_sq[sub] += lrv
+    positive = denom_sq > 0.0
+    np.divide(num, np.sqrt(denom_sq, out=denom_sq), out=num, where=positive)
+    num[~positive] = np.nan
+    return num
 
 
-def _empirical_quantile(sorted_stats: np.ndarray, p: float) -> float:
-    """Order-statistic quantile with index ceil(p*(B+1)), clamped to [1, B]."""
-    b = sorted_stats.size
+def _redraw_degenerate(pair, stats: np.ndarray, ss_redraw, law: str) -> int:
+    """Replace each NaN in one pair's replicate statistics by redrawing it
+    from the pair's redraw stream, one replicate at a time; returns the
+    number of redraws."""
+    draw = _draws([[np.random.default_rng(ss) for ss in ss_redraw.spawn(2)]], law)
+    n_redrawn = 0
+    for idx in np.flatnonzero(np.isnan(stats)):
+        for _ in range(_MAX_CONSECUTIVE_REDRAWS):
+            stats[idx] = _replicate_stats([pair], draw)[0]
+            n_redrawn += 1
+            if not math.isnan(stats[idx]):
+                break
+        else:
+            raise DegenerateReplicatesError(
+                f"{_MAX_CONSECUTIVE_REDRAWS} consecutive degenerate "
+                f"bootstrap replicates; residuals too sparse for law={law!r}"
+            )
+    return n_redrawn
+
+
+def _empirical_quantile(sorted_stats: np.ndarray, p: float):
+    """Order-statistic quantile with index ceil(p*(B+1)), clamped to [1, B],
+    along the last axis."""
+    b = sorted_stats.shape[-1]
     idx = min(b, max(1, math.ceil(p * (b + 1))))
-    return float(sorted_stats[idx - 1])
+    return sorted_stats[..., idx - 1]
 
 
 def shar_wb_test(
-    lrv1: LrvEstimate,
-    lrv2: LrvEstimate,
+    lrv1: LrvEstimate | Sequence[LrvEstimate],
+    lrv2: LrvEstimate | Sequence[LrvEstimate],
     alpha: float = 0.05,
     n_boot: int = 399,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     law: str = NORMAL_INNOVATIONS,
-) -> tuple[TestReport, BootstrapRun]:
+) -> tuple[TestReport, BootstrapRun] | tuple[list, list]:
     """Wild-bootstrap two-sample mean test robust to serial dependence.
 
     Takes each group's series LRV estimate (``series_lrv``), whose basis
@@ -147,58 +230,75 @@ def shar_wb_test(
     outside the empirical alpha/2 and 1-alpha/2 quantiles.  The reported
     p-value is the symmetric two-tailed one, 2*min(F*(t), 1-F*(t)).  Fully
     reproducible from a non-negative ``seed``.
+
+    One pair gives ``(report, run)`` and raises when it is degenerate.
+    Sequences ``lrv1``, ``lrv2`` and ``seed``, one entry per pair, give
+    ``(reports, runs)``, lists in pair order, where a degenerate pair's
+    report is its message and its run is None.  Each pair's result is the
+    one its own call would give.
     """
+    single = isinstance(lrv1, LrvEstimate)
+    pairs = [(lrv1, lrv2)] if single else list(zip(lrv1, lrv2))
+    seeds = [seed] if single else list(seed)
+    if not single and not len(lrv1) == len(lrv2) == len(seeds):
+        raise DomainError(
+            f"need one seed per pair, got {len(lrv1)} and {len(lrv2)} fits and {len(seeds)} seeds")
     if n_boot < 19:
         raise DomainError(f"need at least 19 bootstrap replicates, got {n_boot}")
     _validate_alpha(alpha)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    stat, detail = _har_welch_statistic(lrv1, lrv2)
-    k1, k2 = lrv1.k, lrv2.k
+    for s in seeds:
+        if s < 0:
+            raise DomainError(f"seed must be >= 0, got {s}")
+    if law not in (NORMAL_INNOVATIONS, RADEMACHER_INNOVATIONS):
+        raise DomainError(f"unknown innovation law {law!r}")
 
-    fits = (lrv1, lrv2)
-    *ss_groups, ss_redraw = np.random.SeedSequence(seed).spawn(3)
+    # per pair: (report, run), or (the error that makes it NA, None)
+    outcomes: list = [None] * len(pairs)
+    live, observed = [], []
+    for i, pair in enumerate(pairs):
+        try:
+            observed.append(_har_welch_statistic(*pair))
+            live.append(i)
+        except DegenerateSampleError as exc:
+            outcomes[i] = (exc, None)
+    streams = [np.random.SeedSequence(seeds[i]).spawn(3) for i in live]
+    stats = _replicate_stats([pairs[i] for i in live], _draws(streams, law), (n_boot,))
+    n_redrawn = [0] * len(live)
+    for j in np.flatnonzero(np.isnan(stats).any(axis=1)):
+        try:
+            n_redrawn[j] = _redraw_degenerate(pairs[live[j]], stats[j], streams[j][2], law)
+        except DegenerateReplicatesError as exc:
+            outcomes[live[j]] = (exc, None)
 
-    def draws(seqs, *batch):
-        rngs = [np.random.default_rng(ss) for ss in seqs]
-        return lambda g: _draw_innovations(rngs[g], (2, fits[g].k, *batch), law)
-
-    stats = _replicate_stats(fits, draws(ss_groups, n_boot))
-
-    n_redrawn = 0
-    degenerate = np.flatnonzero(np.isnan(stats))
-    if degenerate.size:
-        redraw = draws(ss_redraw.spawn(2))
-        for idx in degenerate:
-            for _ in range(_MAX_CONSECUTIVE_REDRAWS):
-                stats[idx] = _replicate_stats(fits, redraw)
-                n_redrawn += 1
-                if not math.isnan(stats[idx]):
-                    break
-            else:
-                raise DegenerateReplicatesError(
-                    f"{_MAX_CONSECUTIVE_REDRAWS} consecutive degenerate "
-                    f"bootstrap replicates; residuals too sparse for law={law!r}"
-                )
-
-    sorted_stats = np.sort(stats)
+    t_obs = np.array([stat for stat, _ in observed])[:, None]
+    sorted_stats = np.sort(stats, axis=1)
     crit_lo = _empirical_quantile(sorted_stats, alpha / 2.0)
     crit_hi = _empirical_quantile(sorted_stats, 1.0 - alpha / 2.0)
-    reject = stat < crit_lo or stat > crit_hi
-    ecdf_at_stat = float(np.count_nonzero(stats <= stat)) / n_boot
-    p_value = 2.0 * min(ecdf_at_stat, 1.0 - ecdf_at_stat)
-
+    ecdf_at_stat = np.count_nonzero(stats <= t_obs, axis=1) / n_boot
+    p_values = 2.0 * np.minimum(ecdf_at_stat, 1.0 - ecdf_at_stat)
     stats.flags.writeable = False
-    facts = {"k_star1": k1, "k_star2": k2, "crit_lo": crit_lo, "crit_hi": crit_hi,
-             "B": n_boot, "seed": seed, "n_redrawn": n_redrawn}
-    run = BootstrapRun(replicate_stats=stats, p_value=p_value, K1=k1, K2=k2, **facts)
-    report = TestReport(
-        name="t1_har_boot",
-        statistic=stat,
-        reference=RefDistribution(DistKind.BOOTSTRAP_EMPIRICAL),
-        p_value=p_value,
-        alpha=alpha,
-        reject=reject,
-        detail={**detail, "mu_pooled": _pooled_mean(lrv1.sample, lrv2.sample), **facts},
-    )
-    return report, run
+    for j, i in enumerate(live):
+        if outcomes[i] is not None:
+            continue
+        (fit1, fit2), (stat, detail) = pairs[i], observed[j]
+        facts = {"k_star1": fit1.k, "k_star2": fit2.k, "crit_lo": float(crit_lo[j]),
+                 "crit_hi": float(crit_hi[j]), "B": n_boot, "seed": seeds[i],
+                 "n_redrawn": n_redrawn[j]}
+        run = BootstrapRun(replicate_stats=stats[j], p_value=float(p_values[j]),
+                           K1=fit1.k, K2=fit2.k, **facts)
+        report = TestReport(
+            name="t1_har_boot",
+            statistic=stat,
+            reference=RefDistribution(DistKind.BOOTSTRAP_EMPIRICAL),
+            p_value=run.p_value,
+            alpha=alpha,
+            reject=stat < run.crit_lo or stat > run.crit_hi,
+            detail={**detail, "mu_pooled": _pooled_mean(fit1.sample, fit2.sample), **facts},
+        )
+        outcomes[i] = (report, run)
+    if single:
+        report, run = outcomes[0]
+        if run is None:
+            raise report
+        return report, run
+    return [str(r) if run is None else r for r, run in outcomes], [run for _, run in outcomes]

@@ -10,8 +10,9 @@ standard normal or standardized chi-square(1) for a skewed alternative.
 
 ``evaluate`` runs all six tests (classical, Welch, robust pooled, robust
 Welch under normal and adjusted-t references, and the wild bootstrap) on
-one sample pair; it is shared with ``harmeans test``.  ``run_cell``
-evaluates ``n_mc`` fresh sample pairs and tallies rejection rates.
+one sample pair, or on a sequence of pairs at once; it is shared with
+``harmeans test``.  ``run_cell`` evaluates ``n_mc`` fresh sample pairs a
+chunk at a time and tallies rejection rates.
 ``run_table`` sweeps a scenario grid and writes a human-readable rate table
 plus a machine-readable JSON artifact with raw counts, seeds, and excluded
 replications.
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
+from .errors import DegenerateSampleError, DomainError
 from .lrv import LrvEstimate, TimeSeriesSample, series_lrv
 from .sharwb import BootstrapRun, shar_wb_test
 from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
@@ -68,50 +69,61 @@ def _fit_group(sample: TimeSeriesSample, requested) -> GroupFit:
         return GroupFit(k_note=str(exc), lrv=series_lrv(sample, 1))
 
 
-def _attempt(fn, *args, **kwargs):
-    """fn's result, or its message when a sample or the bootstrap is degenerate."""
+def _attempt(fn, *args):
+    """fn's result, or its message when a sample is degenerate."""
     try:
-        return fn(*args, **kwargs)
-    except (DegenerateSampleError, DegenerateReplicatesError) as exc:
+        return fn(*args)
+    except DegenerateSampleError as exc:
         return str(exc)
 
 
 def evaluate(
-    y1: TimeSeriesSample,
-    y2: TimeSeriesSample,
+    y1: TimeSeriesSample | Sequence[TimeSeriesSample],
+    y2: TimeSeriesSample | Sequence[TimeSeriesSample],
     *,
     k1,
     k2,
     alpha: float,
     n_boot: int,
-    seed: int,
-) -> Evaluation:
+    seed: int | Sequence[int],
+) -> Evaluation | list[Evaluation]:
     """All six tests in ``TEST_COLUMNS`` order, each group fitted once.
 
     ``k1``/``k2`` are integers or "auto".  Every robust test reads the two
     groups' ``LrvEstimate``.  Degenerate samples or bootstrap replicates
     turn the affected tests into NA entries; a ``DomainError`` (bad K, alpha
     or n_boot) propagates.
+
+    One pair of samples and one seed give one ``Evaluation``.  Sequences
+    ``y1``, ``y2`` and ``seed``, one entry per pair, give a list of them,
+    each the one its own call would give; the pairs are bootstrapped
+    together by one ``shar_wb_test`` call.
     """
-    groups = (_fit_group(y1, k1), _fit_group(y2, k2))
-    lrv1, lrv2 = groups[0].lrv, groups[1].lrv
-    outcomes = {
-        "t0": _attempt(classical_t, y1, y2, alpha),
-        "t1": _attempt(welch_t, y1, y2, alpha),
-        "t0_har": _attempt(har_pooled_t, lrv1, lrv2, alpha),
-        "t1_har_norm": _attempt(har_welch_t, lrv1, lrv2, alpha, NORMAL),
-        "t1_har": _attempt(har_welch_t, lrv1, lrv2, alpha, T_ADJUSTED),
-        "t1_har_boot": _attempt(shar_wb_test, lrv1, lrv2, alpha, n_boot, seed),
-    }
-    bootstrap = None
-    if not isinstance(outcomes["t1_har_boot"], str):
-        outcomes["t1_har_boot"], bootstrap = outcomes["t1_har_boot"]
-    return Evaluation(
-        groups=groups,
-        reports={n: r for n, r in outcomes.items() if not isinstance(r, str)},
-        na={n: r for n, r in outcomes.items() if isinstance(r, str)},
-        bootstrap=bootstrap,
+    single = isinstance(y1, TimeSeriesSample)
+    if single:
+        y1, y2, seed = [y1], [y2], [seed]
+    groups = [(_fit_group(a, k1), _fit_group(b, k2)) for a, b in zip(y1, y2)]
+    boot_reports, boot_runs = shar_wb_test(
+        [g1.lrv for g1, _ in groups], [g2.lrv for _, g2 in groups], alpha, n_boot, seed
     )
+    evaluations = []
+    for a, b, (g1, g2), boot_report, bootstrap in zip(y1, y2, groups, boot_reports, boot_runs):
+        lrv1, lrv2 = g1.lrv, g2.lrv
+        outcomes = {
+            "t0": _attempt(classical_t, a, b, alpha),
+            "t1": _attempt(welch_t, a, b, alpha),
+            "t0_har": _attempt(har_pooled_t, lrv1, lrv2, alpha),
+            "t1_har_norm": _attempt(har_welch_t, lrv1, lrv2, alpha, NORMAL),
+            "t1_har": _attempt(har_welch_t, lrv1, lrv2, alpha, T_ADJUSTED),
+            "t1_har_boot": boot_report,
+        }
+        evaluations.append(Evaluation(
+            groups=(g1, g2),
+            reports={n: r for n, r in outcomes.items() if not isinstance(r, str)},
+            na={n: r for n, r in outcomes.items() if isinstance(r, str)},
+            bootstrap=bootstrap,
+        ))
+    return evaluations[0] if single else evaluations
 
 
 @dataclass(frozen=True)
@@ -202,7 +214,8 @@ def simulate_series(
     ``rng`` is one ``np.random.Generator``, which gives one sample, or a
     sequence of them, which gives a list with one sample per generator.
     Each generator's n+1 innovations become one column of an (n+1) x R
-    block, and the recursion runs once over t on whole rows, so every
+    block, and the recursion runs once over t on whole rows; the samples
+    are then built together, with one transform of the block.  Every
     column is the sample that generator alone would give.
     """
     if not abs(rho) < 1.0:
@@ -222,15 +235,52 @@ def simulate_series(
     for row in rows:
         row += rho * prev
         prev = row
-    samples = [TimeSeriesSample.from_values(y) for y in (mu + sigma * w[1:]).T]
+    samples = TimeSeriesSample._from_rows((mu + sigma * w[1:]).T)
     return samples[0] if single else samples
 
 
-# Most doubles in one simulated block of replications, (T+1) x R per group.
-# A cell's replications are simulated in chunks of at most this many, so
-# memory stays flat in n_mc at large T; every preset cell (T <= 400,
-# n_mc <= 2000) is one chunk.
+# Most doubles in one simulated block of replications, (T+1) x R per group,
+# and most replications in one chunk, whose samples, evaluations and
+# replicate statistics are held until the chunk is tallied.  A cell's
+# replications are simulated and evaluated in chunks within both bounds, so
+# memory stays flat in n_mc.
 _MAX_BLOCK_DOUBLES = 2**20
+_MAX_CHUNK_PAIRS = 256
+
+
+def _tally_chunk(scenario: Scenario, rep_seeds, counts: dict) -> int:
+    """Evaluate one chunk of replications, each drawn from its seed, add its
+    reject counts to ``counts`` and return how many were excluded.
+
+    Nothing of the chunk outlives the call, so memory holds one chunk."""
+    ss_y1, ss_y2, ss_boot = zip(*(s.spawn(3) for s in rep_seeds))
+    y1s, y2s = (
+        simulate_series(
+            n, scenario.rho, sigma, mu, scenario.error_law,
+            [np.random.default_rng(ss) for ss in seeds],
+        )
+        for n, sigma, mu, seeds in (
+            (scenario.t1, scenario.sigma1, scenario.mu1, ss_y1),
+            (scenario.t2, scenario.sigma2, scenario.mu2, ss_y2),
+        )
+    )
+    results = evaluate(
+        y1s,
+        y2s,
+        k1="auto",
+        k2="auto",
+        alpha=scenario.alpha,
+        n_boot=scenario.n_boot,
+        seed=[int(ss.generate_state(1, np.uint64)[0]) for ss in ss_boot],
+    )
+    excluded = 0
+    for result in results:
+        if result.na:
+            excluded += 1
+            continue
+        for name in TEST_COLUMNS:
+            counts[name] += bool(result.reports[name].reject)
+    return excluded
 
 
 def run_cell(scenario: Scenario) -> CellResult:
@@ -238,8 +288,8 @@ def run_cell(scenario: Scenario) -> CellResult:
 
     Replication r draws its two samples and its bootstrap seed from the
     r-th child of ``SeedSequence(seed)``.  Each chunk of replications is
-    simulated with one ``simulate_series`` call per group, then evaluated
-    one replication at a time.
+    simulated with one ``simulate_series`` call per group and evaluated by
+    one ``evaluate`` call, which bootstraps the chunk's pairs together.
 
     Replications where any test is NA (a degenerate sample or bootstrap)
     are excluded from the rate denominators but counted in ``n_excluded``;
@@ -247,40 +297,14 @@ def run_cell(scenario: Scenario) -> CellResult:
     """
     start = time.perf_counter()
     counts = {name: 0 for name in TEST_COLUMNS}
-    completed = 0
     excluded = 0
     root = np.random.SeedSequence(scenario.seed)
-    chunk = max(1, _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1))
+    per_block = _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1)
+    chunk = max(1, min(_MAX_CHUNK_PAIRS, per_block))
     for lo in range(0, scenario.n_mc, chunk):
         # spawn(a) then spawn(b) gives the children of spawn(a + b)
-        rep_seeds = root.spawn(min(chunk, scenario.n_mc - lo))
-        ss_y1, ss_y2, ss_boot = zip(*(s.spawn(3) for s in rep_seeds))
-        y1s, y2s = (
-            simulate_series(
-                n, scenario.rho, sigma, mu, scenario.error_law,
-                [np.random.default_rng(ss) for ss in seeds],
-            )
-            for n, sigma, mu, seeds in (
-                (scenario.t1, scenario.sigma1, scenario.mu1, ss_y1),
-                (scenario.t2, scenario.sigma2, scenario.mu2, ss_y2),
-            )
-        )
-        for y1, y2, boot_seed in zip(y1s, y2s, ss_boot):
-            result = evaluate(
-                y1,
-                y2,
-                k1="auto",
-                k2="auto",
-                alpha=scenario.alpha,
-                n_boot=scenario.n_boot,
-                seed=int(boot_seed.generate_state(1, np.uint64)[0]),
-            )
-            if result.na:
-                excluded += 1
-                continue
-            completed += 1
-            for name in TEST_COLUMNS:
-                counts[name] += bool(result.reports[name].reject)
+        excluded += _tally_chunk(scenario, root.spawn(min(chunk, scenario.n_mc - lo)), counts)
+    completed = scenario.n_mc - excluded
     if completed == 0:
         raise DegenerateSampleError("every replication was degenerate")
     rates = {name: counts[name] / completed for name in TEST_COLUMNS}

@@ -1,6 +1,8 @@
 """Long-run variance estimation and basis-count selection."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -77,6 +79,30 @@ class TestTimeSeriesSample:
     def test_complex_values_are_rejected(self, values):
         with pytest.raises(DomainError, match="^sample must be real-valued$"):
             sample(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [["1", "2", "4", "3"], ["a", "b", "c"], [b"1", b"2", b"3"],
+         np.array([1.0, 2.0, 3.0], dtype=object), np.zeros(3, dtype="V8")],
+        ids=["numeric-text", "text", "bytes", "object", "void"],
+    )
+    def test_non_numeric_values_are_rejected(self, values):
+        with pytest.raises(DomainError, match="^sample must be numeric, got dtype "):
+            sample(values)
+
+    @pytest.mark.parametrize("n", [2, 9, 37, 200, 201])
+    def test_rows_built_together_match_lone_samples(self, n):
+        # the lab builds a chunk's samples from one transform of the block
+        rng = np.random.default_rng(n)
+        block = (3.0 * rng.standard_normal((n, 7)) - 4.0).T  # rows of a (T, R) block
+        for got, row in zip(TimeSeriesSample._from_rows(block), block):
+            want = sample(row)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.mean == want.mean
+            assert got.residuals.tobytes() == want.residuals.tobytes()
+            assert np.ascontiguousarray(got.spectrum).tobytes() == want.spectrum.tobytes()
+            assert want.spectrum.tobytes() == basis.dft(want.residuals).tobytes()
+            assert got._energy == want._energy
 
     def test_equality_is_identity_and_both_types_hash(self):
         # the array fields would make a field-by-field == ambiguous
@@ -391,3 +417,53 @@ class TestBlasThreads:
         finally:
             put(before)
         assert got[1] == got[0] and got[2] == got[0]
+
+    def test_guard_nests_on_one_thread(self):
+        # a nested entry blocked on the guard's own lock; in a worker thread
+        # the hang shows as a thread still alive after the join
+        calls = lrv_mod._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get = calls[0]
+        before = get()
+        seen = []
+
+        def nested():
+            with lrv_mod._calling_thread_blas():
+                with lrv_mod._calling_thread_blas():
+                    seen.append(get())
+                seen.append(get())  # the inner exit leaves the count alone
+            seen.append(get())
+
+        worker = threading.Thread(target=nested, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [1, 1, before]
+
+    def test_other_threads_wait_for_the_guard(self):
+        if lrv_mod._openblas_threads() is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        inside, release, order = threading.Event(), threading.Event(), []
+
+        def holder():
+            with lrv_mod._calling_thread_blas():
+                inside.set()
+                release.wait(10)
+                order.append("holder exits")
+
+        def other():
+            inside.wait(10)
+            with lrv_mod._calling_thread_blas():
+                order.append("other enters")
+
+        workers = [threading.Thread(target=f, daemon=True) for f in (holder, other)]
+        for worker in workers:
+            worker.start()
+        assert inside.wait(10)
+        time.sleep(0.05)  # time for the other thread to reach the lock
+        release.set()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert order == ["holder exits", "other enters"]

@@ -38,7 +38,16 @@ def fits(y1, y2, k1="auto", k2="auto"):
 
 def kernel(group_fits, v1, v2):
     """The replicate statistics of two fits for given innovation draws."""
-    return _replicate_stats(group_fits, (v1, v2).__getitem__)
+    draws = (v1, v2)
+    return _replicate_stats([group_fits], lambda g, idx, shape: draws[g].reshape(shape),
+                            v1.shape[2:])[0]
+
+
+def innovations(rng, shape, law):
+    """iid innovations of the given law, drawn as the bootstrap draws them."""
+    out = np.empty(shape)
+    _draw_innovations(rng, law, out)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +90,7 @@ class TestEta:
         assert cov == pytest.approx(eta_autocov(n, k, 3), abs=0.04)
 
     def test_rademacher_law(self):
-        v = _draw_innovations(np.random.default_rng(9), (2, 3, 500), "rademacher")
+        v = innovations(np.random.default_rng(9), (2, 3, 500), "rademacher")
         assert v.shape == (2, 3, 500)
         assert set(np.unique(v)) == {-1.0, 1.0}
         assert eta_series(30, v).shape == (30, 500)
@@ -159,8 +168,8 @@ class TestReplicate:
     def test_single_replicate_matches_batch_shape(self, fixed_pair):
         y1, y2 = fixed_pair
         group_fits = fits(y1, y2, 4, 4)
-        v1 = _draw_innovations(np.random.default_rng(1), (2, 4), "normal")
-        v2 = _draw_innovations(np.random.default_rng(2), (2, 4), "normal")
+        v1 = innovations(np.random.default_rng(1), (2, 4), "normal")
+        v2 = innovations(np.random.default_rng(2), (2, 4), "normal")
         value = kernel(group_fits, v1, v2)
         assert value.shape == () and math.isfinite(float(value))
         batch = kernel(group_fits, v1[..., None], v2[..., None])
@@ -233,8 +242,8 @@ class TestSharWbTest:
         y1, y2 = fixed_pair
         group_fits = fits(y1, y2, 4, 3)
         for seed in range(6):
-            v1 = _draw_innovations(np.random.default_rng(seed), (2, 4), "normal")
-            v2 = _draw_innovations(np.random.default_rng(1000 + seed), (2, 3), "normal")
+            v1 = innovations(np.random.default_rng(seed), (2, 4), "normal")
+            v2 = innovations(np.random.default_rng(1000 + seed), (2, 3), "normal")
             fwd = float(kernel(group_fits, v1, v2))
             rev = float(kernel(group_fits[::-1], v2, v1))
             assert rev == pytest.approx(-fwd, rel=1e-12)
@@ -278,11 +287,10 @@ class TestSharWbTest:
 
         def batch_with_hole(*args, **kwargs):
             out = original(*args, **kwargs)
-            if out.ndim == 1 and not call_state["batch_done"]:
+            if out.ndim == 2 and not call_state["batch_done"]:
                 call_state["batch_done"] = True
-                out = out.copy()
-                out[3] = np.nan
-                out[11] = np.nan
+                out[0, 3] = np.nan
+                out[0, 11] = np.nan
             return out
 
         monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
@@ -294,13 +302,12 @@ class TestSharWbTest:
         y1, y2 = fixed_pair
         original = sharwb_mod._replicate_stats
 
-        def batch_with_hole(group_fits, draw):
-            out = original(group_fits, draw)
-            if out.ndim == 1:
-                out = out.copy()
-                out[0] = np.nan
+        def batch_with_hole(pairs, draw, batch=()):
+            out = original(pairs, draw, batch)
+            if out.ndim == 2:
+                out[0, 0] = np.nan
                 return out
-            return np.float64(np.nan)  # every single redraw is degenerate
+            return np.full(1, np.nan)  # every single redraw is degenerate
 
         monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
         with pytest.raises(DegenerateReplicatesError):
@@ -318,6 +325,80 @@ class TestSharWbTest:
         assert report.detail["k_star1"] == 5
 
 
+class TestSequenceForm:
+    """One call on a sequence of pairs against one call per pair."""
+
+    SEEDS = [11, 12, 13, 14, 15, 16]
+
+    @staticmethod
+    def pairs():
+        # group 1's K: 3, 3, -, 5, 3, 1 (a K = 3 bucket of three pairs);
+        # pair 2 is constant, so both its LRVs are zero and it has no statistic
+        rng = np.random.default_rng(21)
+        out = [
+            fits(sample(rng.standard_normal(n1)), sample(1.5 * rng.standard_normal(n2) + 0.2), k1, k2)
+            for n1, n2, k1, k2 in ((80, 64, 3, 5), (80, 64, 3, 2), (50, 90, 5, 5),
+                                   (80, 64, 3, 5), (40, 40, 1, 7))
+        ]
+        flat = sample([2.0] * 12)
+        out.insert(2, fits(flat, flat, 2, 2))
+        return out
+
+    @pytest.mark.parametrize("redraws_fail", [False, True])
+    def test_matches_one_call_per_pair(self, monkeypatch, redraws_fail):
+        pairs = self.pairs()
+        target = pairs[4][0]  # its replicate 7 is forced degenerate
+        original = sharwb_mod._replicate_stats
+        stacked = []
+
+        def with_hole(group_pairs, draw, batch=()):
+            out = original(group_pairs, draw, batch)
+            for j, pair in enumerate(group_pairs):
+                if pair[0] is target and (batch or redraws_fail):
+                    out[(j, 7) if batch else j] = np.nan
+            return out
+
+        def recording(group_fits, v):
+            stacked.append((group_fits[0].k, len(group_fits)))
+            return moments(group_fits, v)
+
+        moments = sharwb_mod._group_moments
+        monkeypatch.setattr(sharwb_mod, "_replicate_stats", with_hole)
+        monkeypatch.setattr(sharwb_mod, "_group_moments", recording)
+        # two K = 3 pairs per sub-batch at B = 199: 2 * (9 * 199 + 18) doubles
+        monkeypatch.setattr(sharwb_mod, "_MAX_STACK_DOUBLES", 3618)
+        reports, runs = shar_wb_test([a for a, _ in pairs], [b for _, b in pairs],
+                                     n_boot=199, seed=self.SEEDS)
+        assert (3, 2) in stacked and (3, 1) in stacked and max(n for _, n in stacked) == 2
+        assert len(reports) == len(runs) == len(pairs)
+        assert (reports[2], runs[2]) == ("both long-run variances are zero", None)
+        with pytest.raises(DegenerateSampleError, match="^both long-run variances are zero$"):
+            shar_wb_test(*pairs[2], n_boot=199, seed=self.SEEDS[2])
+        for i in (0, 1, 3, 4, 5):
+            if i == 4 and redraws_fail:
+                with pytest.raises(DegenerateReplicatesError) as exc:
+                    shar_wb_test(*pairs[i], n_boot=199, seed=self.SEEDS[i])
+                assert (reports[i], runs[i]) == (str(exc.value), None)
+                continue
+            report, run = shar_wb_test(*pairs[i], n_boot=199, seed=self.SEEDS[i])
+            assert (reports[i].reject, runs[i].n_redrawn) == (report.reject, run.n_redrawn)
+            assert runs[i].n_redrawn == (1 if i == 4 else 0)
+            assert reports[i].statistic == report.statistic
+            got, want = runs[i].replicate_stats, run.replicate_stats
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+            for name in ("p_value", "crit_lo", "crit_hi"):
+                assert getattr(runs[i], name) == pytest.approx(getattr(run, name), rel=1e-10)
+            assert reports[i].detail == pytest.approx(report.detail, rel=1e-10)
+
+    def test_one_seed_per_pair(self, fixed_pair):
+        pair = fits(*fixed_pair)
+        with pytest.raises(DomainError, match="^need one seed per pair"):
+            shar_wb_test([pair[0]] * 2, [pair[1]] * 2, n_boot=99, seed=[1])
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            shar_wb_test([pair[0]] * 2, [pair[1]] * 2, n_boot=99, seed=[1, -1])
+        assert shar_wb_test([], [], n_boot=99, seed=[]) == ([], [])
+
+
 class TestReplicateKernel:
     """The coefficient-space kernel against the time-domain reference."""
 
@@ -331,8 +412,8 @@ class TestReplicateKernel:
         for k in sorted({1, 2, n // 2}):
             group_fits = fits(y1, y2, k, k)
             for batch in ((), (64,)):
-                v1 = _draw_innovations(rng, (2, k, *batch), law)
-                v2 = _draw_innovations(rng, (2, k, *batch), law)
+                v1 = innovations(rng, (2, k, *batch), law)
+                v2 = innovations(rng, (2, k, *batch), law)
                 got = kernel(group_fits, v1, v2)
                 want = oracles.replicate_stats(y1, y2, k, k, v1, v2)
                 assert got.shape == want.shape
@@ -345,8 +426,8 @@ class TestReplicateKernel:
         y2 = sample(rng.standard_normal(64))
         group_fits = fits(y1, y2, k, k)
         op1, op2 = map(oracles.operator, group_fits)
-        v1 = _draw_innovations(rng, (2, k, 49), "normal")
-        v2 = _draw_innovations(rng, (2, k, 49), "normal")
+        v1 = innovations(rng, (2, k, 49), "normal")
+        v2 = innovations(rng, (2, k, 49), "normal")
         cases = [(v1, v2), (v1[..., 0], v2[..., 0])]
         v1_hole, v2_hole = v1.copy(), v2.copy()
         v1_hole[..., 7] = v2_hole[..., 7] = 0.0  # one degenerate replicate
@@ -368,8 +449,8 @@ class TestReplicateKernel:
         y1 = sample(rng.standard_normal(2000))
         y2 = sample(3.0 * rng.standard_normal(1500))
         group_fits = fits(y1, y2, 60, 60)
-        v1 = _draw_innovations(rng, (2, 60, 399), "normal")
-        v2 = _draw_innovations(rng, (2, 60, 399), "normal")
+        v1 = innovations(rng, (2, 60, 399), "normal")
+        v2 = innovations(rng, (2, 60, 399), "normal")
         before = get()
         got = []
         try:

@@ -106,9 +106,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(basis, "dft", counting)
         y1, y2 = wfh_pair()
-        assert calls == [(37,), (85,)]
+        assert calls == [(37, 1), (85, 1)]  # one (T, R) block per simulate_series call
         result = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=49, seed=3)
-        assert calls == [(37,), (85,)]  # evaluate only reads the two spectra
+        assert calls == [(37, 1), (85, 1)]  # evaluate only reads the two spectra
         for y, group in zip((y1, y2), result.groups):
             assert series_lrv(y, group.lrv.k).omega == group.lrv.omega
 
@@ -151,6 +151,51 @@ class TestEvaluate:
             detail = result.reports[name].detail
             assert (detail["var1"], detail["var2"]) == (y1.variance(), y2.variance())
         assert len(entries) == 2  # variance() reads the stored sum of squares
+
+    def test_sequence_form_matches_one_call_per_pair(self, monkeypatch):
+        # group 1 has K = 3 throughout, a bucket taken two pairs at a time;
+        # group 2's K is selected, so it varies; pair 2 is constant (all NA)
+        # and replicate 5 of pair 3 is forced degenerate, so it is redrawn
+        rng = np.random.default_rng(5)
+        y1s = [simulate_series(n, rho, 1.0, 0.0, "normal", rng)
+               for n, rho in ((60, 0.0), (60, 0.5), (20, 0.0), (37, 0.8), (60, 0.5))]
+        y2s = [simulate_series(n, rho, 2.0, 0.3, "normal", rng)
+               for n, rho in ((85, 0.0), (50, 0.8), (20, 0.0), (40, 0.0), (60, 0.5))]
+        y1s[2] = y2s[2] = TimeSeriesSample.from_values([2.0] * 20)
+        seeds = [3, 4, 5, 6, 7]
+        target = y1s[3]
+        original = sharwb_mod._replicate_stats
+
+        def with_hole(pairs, draw, batch=()):
+            out = original(pairs, draw, batch)
+            for j, (fit1, _) in enumerate(pairs):
+                if batch and fit1.sample is target:
+                    out[j, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(sharwb_mod, "_replicate_stats", with_hole)
+        # two K = 3 pairs per sub-batch at B = 49: 2 * (9 * 49 + 18) doubles
+        monkeypatch.setattr(sharwb_mod, "_MAX_STACK_DOUBLES", 918)
+        kw = {"k1": 3, "k2": "auto", "alpha": 0.05, "n_boot": 49}
+        results = evaluate(y1s, y2s, seed=seeds, **kw)
+        assert len(results) == 5
+        assert set(results[2].na) == set(TEST_COLUMNS) and results[2].bootstrap is None
+        assert len({fit.lrv.k for _, fit in (r.groups for r in results)}) > 2
+        for y1, y2, seed, got in zip(y1s, y2s, seeds, results):
+            want = evaluate(y1, y2, seed=seed, **kw)
+            assert got.na == want.na
+            assert [(f.lrv.k, f.k_note) for f in got.groups] == [
+                (f.lrv.k, f.k_note) for f in want.groups]
+            assert list(got.reports) == list(want.reports)
+            for name, report in want.reports.items():
+                assert got.reports[name].reject == report.reject, name
+                assert got.reports[name].statistic == pytest.approx(report.statistic, rel=1e-10)
+                assert got.reports[name].p_value == pytest.approx(report.p_value, rel=1e-10)
+            if want.bootstrap is not None:
+                assert got.bootstrap.n_redrawn == want.bootstrap.n_redrawn
+                stats, ref = got.bootstrap.replicate_stats, want.bootstrap.replicate_stats
+                assert np.all(np.abs(stats - ref) <= 1e-10 * np.abs(ref))
+        assert [r.bootstrap.n_redrawn for r in results if r.bootstrap] == [0, 0, 1, 0]
 
     def test_power_of_two_scaling_keeps_every_result(self):
         # scaling by 2^k is exact and every test is scale-free, so nothing
@@ -317,6 +362,35 @@ class TestRunCell:
             finally:
                 tracemalloc.stop()
         assert peaks[2] < 1.1 * peaks[1], peaks
+
+    def test_memory_flat_in_n_mc_with_stacked_bootstraps(self, monkeypatch):
+        # 64 white-noise replications of T = 200 per chunk (K about 30) at
+        # B = 399: one group's draws for a whole chunk take about 12 MiB,
+        # but a sub-batch holds at most _MAX_STACK_DOUBLES doubles, and one
+        # chunk's samples and results are freed before the next is drawn
+        monkeypatch.setattr(simlab_mod, "_MAX_CHUNK_PAIRS", 64)
+        drawn = []
+        original = sharwb_mod._group_moments
+
+        def recording(fits, v):
+            drawn.append(v.nbytes)
+            return original(fits, v)
+
+        monkeypatch.setattr(sharwb_mod, "_group_moments", recording)
+        peaks = []
+        for n_mc in (16, 64, 256):  # the first run fills numpy's FFT caches
+            drawn.clear()
+            sc = Scenario(t1=200, t2=200, rho=0.0, seed=3, n_mc=n_mc, n_boot=399)
+            tracemalloc.start()
+            try:
+                run_cell(sc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.1 * peaks[1], peaks
+        assert max(drawn) <= 8 * sharwb_mod._MAX_STACK_DOUBLES
+        one_group_per_chunk = sum(drawn) / (2 * 256 // 64)
+        assert peaks[2] < one_group_per_chunk / 2, (peaks, one_group_per_chunk)
 
     def test_seeds_spawned_one_chunk_at_a_time(self, monkeypatch):
         # one replication of T = 8 per chunk: spawning every replication's
