@@ -14,7 +14,8 @@ half sums and differences of U at m - l and m + l.  The transform is taken
 once per sample (``TimeSeriesSample.spectrum``); the readers below take that
 length-T spectrum and slice it.  ``dft``, ``coefficients`` and
 ``cos_sin_sums`` work along axis 0, so a (T, n) array is n series at once;
-``modulated_coefficients`` takes one series.
+``modulated_coefficients`` takes a sequence of spectra, of any lengths, and
+forms one block of rows and columns of each one's matrix.
 """
 
 from __future__ import annotations
@@ -49,50 +50,72 @@ def cos_sin_sums(spectrum: np.ndarray, k_star: int) -> tuple[np.ndarray, np.ndar
 
 
 def modulated_coefficients(
-    spectrum: np.ndarray, k: int, k_star: int, lo: int = 0, hi: int | None = None
+    spectra, k: int, k_star: int, rows: tuple = (0, None), cols: tuple = (0, None)
 ) -> np.ndarray:
-    """Rows lo..hi-1 (lo even; all k rows by default) of the (k, 2 k_star)
+    """Rows lo..hi-1 (lo even) and columns c_lo..c_hi-1 of the (k, 2 k_star)
     matrix of the LRV coefficients of u times each bootstrap basis function,
-    from U = dft(u): column j is u * cos(2 pi j t/T), column k_star + j is
-    u * sin(2 pi j t/T).
+    for each U = dft(u) in the sequence ``spectra``, as one (R, rows, cols)
+    array (all of the matrix by default).  Column j-1 is u * cos(2 pi j t/T)
+    and column k_star+j-1 is u * sin(2 pi j t/T), j = 1..k_star.
 
     For LRV frequency m and bootstrap frequency j, with c = 1/sqrt(2T):
     cos-cos is c Re[U(m-j) + U(m+j)], cos-sin is c Im[U(m-j) - U(m+j)],
     sin-cos is -c Im[U(m+j) + U(m-j)] and sin-sin is c Re[U(m-j) - U(m+j)].
-    Rows lo..hi-1 hold frequencies m = lo/2+1 .. m_top.  U on
-    f = lo/2+1-k_star .. m_top+k_star is gathered once into a (3, L) array
-    of c Re U, c Im U and -c Im U, the last so that sin-cos is one addition.
-    U(m+j) and U(m-j) are (n_freq, k_star) views of its rows whose steps in
-    j are +1 and -1, so the only array of size rows * k_star is the result.
+    Rows lo..hi-1 hold frequencies m = lo/2+1 .. m_top.  The cosine columns
+    of the range and then its sine columns are taken in turn.  For their
+    frequencies j = j_lo..j_hi, each spectrum's U(m-j), with f falling, and
+    U(m+j), with f rising, are gathered once, as two windows of one row,
+    into an (R, 2, L) array of c Re U and c Im U (-c Im U for the cosine
+    columns, so that sin-cos is one addition).  U(m-j) and U(m+j) are
+    (R, n_freq, n_j) views of it whose steps in m are -1 and +1 and in j
+    +1, so the only array of size rows * cols is the result, and no
+    spectrum is copied whole.
     """
-    n = spectrum.shape[0]
-    hi = k if hi is None else min(hi, k)
-    m_lo, m_top = lo // 2, (hi + 1) // 2
-    n_freq = m_top - m_lo
-    spec = spectrum[np.arange(m_lo + 1 - k_star, m_top + k_star + 1) % n]
-    spec *= 1.0 / math.sqrt(2.0 * n)
-    parts = np.empty((3, spec.size))
-    parts[0] = spec.real
-    parts[1] = spec.imag
-    np.negative(spec.imag, out=parts[2])
-    step = parts.itemsize
-
-    def views(first, j_step):
-        # (n_freq, k_star) views of each row, starting at index `first`
-        return (
-            np.ndarray((n_freq, k_star), parts.dtype, parts,
-                       step * (row * spec.size + first), (step, j_step * step))
-            for row in range(3)
-        )
-
-    # U(m+j) sits at index m-m_lo+j+k_star-1 of a row and U(m-j) at m-m_lo-j+k_star-1
-    re_p, im_p, nim_p = views(k_star + 1, 1)
-    re_m, im_m, nim_m = views(k_star - 1, -1)
-    out = np.empty((hi - lo, 2 * k_star))
-    cos_rows, sin_rows = out[0::2], out[1::2]
-    h = (hi - lo) // 2
-    np.add(re_m, re_p, out=cos_rows[:, :k_star])
-    np.subtract(im_m, im_p, out=cos_rows[:, k_star:])
-    np.add(nim_p[:h], nim_m[:h], out=sin_rows[:, :k_star])
-    np.subtract(re_m[:h], re_p[:h], out=sin_rows[:, k_star:])
+    lo, hi = rows[0], k if rows[1] is None else min(rows[1], k)
+    c_lo, c_hi = cols[0], 2 * k_star if cols[1] is None else min(cols[1], 2 * k_star)
+    out = np.empty((len(spectra), hi - lo, c_hi - c_lo))
+    for first, last in ((c_lo, min(c_hi, k_star)), (max(c_lo, k_star), c_hi)):
+        if first < last:
+            sine = first >= k_star
+            _fill_columns(spectra, out[:, :, first - c_lo : last - c_lo], lo // 2,
+                          first + 1 - k_star * sine, sine)
     return out
+
+
+def _fill_columns(spectra, block: np.ndarray, m_lo: int, j_lo: int, sine: bool) -> None:
+    """Fill ``block``, the (R, rows, n_j) part of ``modulated_coefficients``
+    whose rows start at frequency m_lo+1 and whose columns are the cosine
+    (or, with ``sine``, the sine) columns of frequencies j_lo..j_lo+n_j-1,
+    from one gather of each spectrum.  Its gathered windows are freed on
+    return, before the next columns are gathered."""
+    r, rows, n_j = block.shape
+    n_freq, h = (rows + 1) // 2, rows // 2
+    m_top = m_lo + n_freq
+    j_hi, width = j_lo + n_j - 1, n_freq + n_j - 1
+    # U(m-j) on f = m_top-j_lo down to m_lo+1-j_hi, then U(m+j) on
+    # f = m_lo+1+j_lo .. m_top+j_hi
+    f = np.arange(m_lo + 1 + j_lo - width, m_top + j_hi + 1)
+    np.subtract(m_top + m_lo + 1 - width, f[:width], out=f[:width])
+    spec = np.empty((r, 2 * width), complex)
+    for row, spectrum in zip(spec, spectra):
+        spectrum.take(f, out=row, mode="wrap")
+        row *= 1.0 / math.sqrt(2.0 * spectrum.shape[0])
+    parts = np.empty((r, 2, 2 * width))
+    parts[:, 0] = spec.real
+    if sine:
+        parts[:, 1] = spec.imag
+    else:
+        np.negative(spec.imag, out=parts[:, 1])
+    st = parts.strides
+
+    def view(q, start, m_step, n_rows):
+        # (R, n_rows, n_j) view of row q (c Re U, or +-c Im U) from index `start`
+        return np.ndarray((r, n_rows, n_j), parts.dtype, parts, q * st[1] + start * st[2],
+                          (st[0], m_step * st[2], st[2]))
+
+    # U(m-j) sits at index m_top-m+j-j_lo of a row and U(m+j) at width+m-m_lo-1+j-j_lo.
+    # Cosine columns: cos rows are Re U(m-j) + Re U(m+j), sin rows -Im U(m-j) - Im U(m+j);
+    # sine columns: cos rows are Im U(m-j) - Im U(m+j), sin rows Re U(m-j) - Re U(m+j).
+    op, (q_cos, q_sin) = (np.subtract, (1, 0)) if sine else (np.add, (0, 1))
+    op(view(q_cos, n_freq - 1, -1, n_freq), view(q_cos, width, 1, n_freq), out=block[:, 0::2])
+    op(view(q_sin, n_freq - 1, -1, h), view(q_sin, width, 1, h), out=block[:, 1::2])

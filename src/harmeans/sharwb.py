@@ -30,11 +30,14 @@ quantiles of the replicate statistics.
 with its own seed, and bootstraps them together.  The groups are taken one
 at a time.  A group's pairs are bucketed by its K, and each bucket is
 applied as stacked products, in sub-batches of at most
-``_MAX_STACK_DOUBLES`` doubles (one pair at least), with A formed in blocks
-of 128 rows.  So memory holds one sub-batch's draws and one block of their
-A; for one pair, that is one group's draws and one block of its A.  Every
-pair draws from its own streams, so its replicates do not depend on the
-other pairs.
+``_MAX_STACK_DOUBLES`` doubles (one pair at least).  Each pair's 2K* x B
+innovations are drawn 128 rows at a time, in stream order, and each piece
+is applied and freed before the next is drawn, with A formed in blocks of
+128 rows by the piece's columns.  So memory holds a sub-batch's K x B
+coefficients A v, one piece of draws and one block of A; for one pair,
+that is one group's coefficients, one piece and one block.  Every pair
+draws from its own streams, group g's from spawn key (g,) of its seed, so
+its replicates do not depend on the other pairs.
 """
 
 from __future__ import annotations
@@ -57,11 +60,16 @@ RADEMACHER_INNOVATIONS = "rademacher"
 _MAX_CONSECUTIVE_REDRAWS = 100
 
 # Bootstrap frequencies per block of the operator A: each block is
-# 2 * _BLOCK_FREQS rows by 2K* columns, so at K* <= 64 A is one block.
+# 2 * _BLOCK_FREQS rows by one piece's columns, so at K* <= 64 A is one block.
 _BLOCK_FREQS = 64
 
-# Most doubles of draws, operator rows and products held at once for pairs
-# stacked on one group's K: a bucket is taken in sub-batches of this size.
+# Columns of A per piece: a group's (2K*, B) draws, one row per column of
+# A, are taken this many rows at a time, so at K* <= 64 they are one piece.
+_PIECE_COLUMNS = 128
+
+# Most doubles of coefficients, draws, operator blocks and products held at
+# once for pairs stacked on one group's K: a bucket is taken in sub-batches
+# of this size.
 _MAX_STACK_DOUBLES = 2**18
 
 
@@ -92,15 +100,22 @@ def _draw_innovations(rng: np.random.Generator, law: str, out: np.ndarray) -> No
 
 
 def _draws(streams, law: str):
-    """``draw(g, idx, shape)``: a new array of that shape, (len(idx), 2, K*,
-    ...), whose row for pair i is drawn from ``streams[i][g]``, a Generator
-    or a SeedSequence to start one from."""
+    """``draw(g, idx)``: a function ``piece(shape)`` that returns a new array
+    of that shape, (len(idx), columns, ...), whose row for pair i is the next
+    stretch of the stream ``streams[i][g]``, a Generator or a SeedSequence to
+    start one from.  Successive pieces continue each stream, so they hold
+    the values of one draw of all their columns."""
 
-    def draw(g, idx, shape):
-        out = np.empty(shape)
-        for row, i in zip(out, idx):
-            _draw_innovations(np.random.default_rng(streams[i][g]), law, row)
-        return out
+    def draw(g, idx):
+        rngs = [np.random.default_rng(streams[i][g]) for i in idx]
+
+        def piece(shape):
+            out = np.empty(shape)
+            for row, rng in zip(out, rngs):
+                _draw_innovations(rng, law, row)
+            return out
+
+        return piece
 
     return draw
 
@@ -109,52 +124,62 @@ def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
     return (y1.n * y1.mean + y2.n * y2.mean) / (y1.n + y2.n)
 
 
-def _group_moments(fits, v: np.ndarray):
+def _group_moments(fits, draw, batch):
     """w.v and the replicate LRV over T, the mean over rows of (A v)^2, of R
-    fits that share one K, for innovations v of shape (R, 2, K*, B), or
-    (R, 2, K*) for one replicate each; both come back as (R, B), or (R,).
+    fits that share one K, for innovations v of shape (R, 2K*, *batch) that
+    ``draw(shape)`` returns in pieces (see ``_draws``); both come back as
+    (R, *batch).  batch is (B,), or () for one replicate each.
 
-    Each fit's A, the K x 2K* operator scaled by T^{-1/2}, is formed
-    _BLOCK_FREQS frequencies (twice as many rows) at a time, and the R
-    blocks are applied as one stacked product.  A buffer's leading row
-    holds the sums of the blocks before, so with B >= 2 the sums add the
-    rows in the order of one sum over all of (A v)^2."""
-    k, batch = fits[0].k, v.shape[3:]
-    v = v.reshape(len(fits), 2 * k, -1)
-    w = np.empty((len(fits), 1, 2 * k))
+    v is drawn _PIECE_COLUMNS rows (columns of A) at a time, in stream
+    order.  Each piece's products are added to w.v and to z = A v, the K
+    coefficients per replicate, before the next piece is drawn.  Each fit's
+    A, the K x 2K* operator scaled by T^{-1/2}, is formed in blocks of
+    2 _BLOCK_FREQS rows by one piece's columns, and the R blocks are applied
+    as one stacked product.  The LRV sums z^2 over rows at the end, in row
+    order."""
+    r, k, per_pair = len(fits), fits[0].k, math.prod(batch)
+    spectra = [fit.sample.spectrum for fit in fits]
+    w = np.empty((r, 1, 2 * k))
     for w_fit, fit in zip(w[:, 0], fits):
         w_fit[:k], w_fit[k:] = basis.cos_sin_sums(fit.sample.spectrum, k)
         w_fit /= fit.sample.n * math.sqrt(k)
+    scale = np.array([math.sqrt(fit.sample.n * k) for fit in fits])[:, None, None]
     rows = min(k, 2 * _BLOCK_FREQS)
-    buf = np.empty((len(fits), 1 + rows, v.shape[2]))
-    mean = np.matmul(w, v)
-    for lo in range(0, k, rows):
-        blocks = [basis.modulated_coefficients(fit.sample.spectrum, k, k, lo, lo + rows)
-                  for fit in fits]
-        for block, fit in zip(blocks, fits):
-            block /= math.sqrt(fit.sample.n * k)
-        # a lone fit's block is used as it is: a stacked copy would double it
-        a = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
-        z = buf[:, 1 : 1 + a.shape[1]]
-        np.matmul(a, v, out=z)
-        z *= z
-        # the first block has no running sum to add to
-        buf[:, 0] = buf[:, 0 if lo else 1 : 1 + a.shape[1]].sum(axis=1)
-    shape = (len(fits), *batch)
-    return mean.reshape(shape), (buf[:, 0] / k).reshape(shape)
+    z = np.empty((r, k, per_pair))
+    # the first piece's products go straight into z; later ones are made in
+    # one buffer and added (a new array per product costs more than the product)
+    product = np.empty((r, rows, per_pair)) if 2 * k > _PIECE_COLUMNS else None
+    for c_lo in range(0, 2 * k, _PIECE_COLUMNS):
+        c_hi = min(c_lo + _PIECE_COLUMNS, 2 * k)
+        v = draw((r, c_hi - c_lo, *batch)).reshape(r, c_hi - c_lo, per_pair)
+        if c_lo:
+            mean += np.matmul(w[:, :, c_lo:c_hi], v)
+        else:
+            mean = np.matmul(w[:, :, :c_hi], v)
+        for lo in range(0, k, rows):
+            a = basis.modulated_coefficients(spectra, k, k, (lo, lo + rows), (c_lo, c_hi))
+            a /= scale
+            if c_lo:
+                out = product[:, : a.shape[1]]
+                z[:, lo : lo + rows] += np.matmul(a, v, out=out)
+            else:
+                np.matmul(a, v, out=z[:, lo : lo + rows])
+    z *= z
+    shape = (r, *batch)
+    return mean.reshape(shape), (z.sum(axis=1) / k).reshape(shape)
 
 
 def _replicate_stats(pairs, draw, batch=()) -> np.ndarray:
     """Studentized replicate statistics, of shape (R, *batch), of R pairs of
     LRV fits.
 
-    ``draw(g, idx, shape)`` returns group g's innovations for the pairs idx
-    (see ``_draws``).  The groups are taken in turn; a group's pairs are
-    bucketed by its K and taken in sub-batches of at most
-    _MAX_STACK_DOUBLES doubles, so one sub-batch's draws and operator block
-    are freed before the next are made.  The products run on the calling
-    thread.  Degenerate replicates (zero bootstrap LRV in both groups) come
-    back as NaN for the caller to handle.
+    ``draw(g, idx)`` returns the function that draws group g's innovations
+    for the pairs idx in pieces (see ``_draws``).  The groups are taken in
+    turn; a group's pairs are bucketed by its K and taken in sub-batches of
+    at most _MAX_STACK_DOUBLES doubles, so one sub-batch's coefficients,
+    piece of draws and operator block are freed before the next are made.
+    The products run on the calling thread.  Degenerate replicates (zero
+    bootstrap LRV in both groups) come back as NaN for the caller to handle.
     """
     per_pair = math.prod(batch)
     # mean differences and LRV sums: group 1's moments, less or plus group 2's
@@ -166,13 +191,14 @@ def _replicate_stats(pairs, draw, batch=()) -> np.ndarray:
             for i, pair in enumerate(pairs):
                 buckets.setdefault(pair[g].k, []).append(i)
             for k, idx in buckets.items():
-                rows = min(k, 2 * _BLOCK_FREQS)
-                step = max(1, _MAX_STACK_DOUBLES // ((2 * k + rows) * per_pair + rows * 2 * k))
+                rows, cols = min(k, 2 * _BLOCK_FREQS), min(2 * k, _PIECE_COLUMNS)
+                # per pair: K coefficients, one piece and, past the first
+                # piece, one block's product per replicate, and one block
+                held = (k + cols + (rows if cols < 2 * k else 0)) * per_pair + rows * cols
+                step = max(1, _MAX_STACK_DOUBLES // held)
                 for lo in range(0, len(idx), step):
                     sub = idx[lo : lo + step]
-                    mean, lrv = _group_moments(
-                        [pairs[i][g] for i in sub], draw(g, sub, (len(sub), 2, k, *batch))
-                    )
+                    mean, lrv = _group_moments([pairs[i][g] for i in sub], draw(g, sub), batch)
                     if g == 0:
                         num[sub], denom_sq[sub] = mean, lrv
                     else:
@@ -184,11 +210,12 @@ def _replicate_stats(pairs, draw, batch=()) -> np.ndarray:
     return num
 
 
-def _redraw_degenerate(pair, stats: np.ndarray, ss_redraw, law: str) -> int:
+def _redraw_degenerate(pair, stats: np.ndarray, seed: int, law: str) -> int:
     """Replace each NaN in one pair's replicate statistics by redrawing it
-    from the pair's redraw stream, one replicate at a time; returns the
-    number of redraws."""
-    draw = _draws([[np.random.default_rng(ss) for ss in ss_redraw.spawn(2)]], law)
+    from the pair's redraw streams, the children of spawn key (2,) of its
+    seed, one replicate at a time; returns the number of redraws."""
+    draw = _draws([[np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, g)))
+                    for g in (0, 1)]], law)
     n_redrawn = 0
     for idx in np.flatnonzero(np.isnan(stats)):
         for _ in range(_MAX_CONSECUTIVE_REDRAWS):
@@ -261,12 +288,12 @@ def shar_wb_test(
             live.append(i)
         except DegenerateSampleError as exc:
             outcomes[i] = (exc, None)
-    streams = [np.random.SeedSequence(seeds[i]).spawn(3) for i in live]
+    streams = [[np.random.SeedSequence(seeds[i], spawn_key=(g,)) for g in (0, 1)] for i in live]
     stats = _replicate_stats([pairs[i] for i in live], _draws(streams, law), (n_boot,))
     n_redrawn = [0] * len(live)
     for j in np.flatnonzero(np.isnan(stats).any(axis=1)):
         try:
-            n_redrawn[j] = _redraw_degenerate(pairs[live[j]], stats[j], streams[j][2], law)
+            n_redrawn[j] = _redraw_degenerate(pairs[live[j]], stats[j], seeds[live[j]], law)
         except DegenerateReplicatesError as exc:
             outcomes[live[j]] = (exc, None)
 

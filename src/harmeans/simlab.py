@@ -248,12 +248,14 @@ _MAX_BLOCK_DOUBLES = 2**20
 _MAX_CHUNK_PAIRS = 256
 
 
-def _tally_chunk(scenario: Scenario, rep_seeds, counts: dict) -> int:
-    """Evaluate one chunk of replications, each drawn from its seed, add its
+def _tally_chunk(scenario: Scenario, reps: range, counts: dict) -> int:
+    """Evaluate one chunk of replications, the indices ``reps``, add its
     reject counts to ``counts`` and return how many were excluded.
 
     Nothing of the chunk outlives the call, so memory holds one chunk."""
-    ss_y1, ss_y2, ss_boot = zip(*(s.spawn(3) for s in rep_seeds))
+    ss_y1, ss_y2, ss_boot = (
+        [np.random.SeedSequence(scenario.seed, spawn_key=(r, j)) for r in reps] for j in range(3)
+    )
     y1s, y2s = (
         simulate_series(
             n, scenario.rho, sigma, mu, scenario.error_law,
@@ -286,8 +288,9 @@ def _tally_chunk(scenario: Scenario, rep_seeds, counts: dict) -> int:
 def run_cell(scenario: Scenario) -> CellResult:
     """Monte Carlo rejection rates of all six tests for one scenario.
 
-    Replication r draws its two samples and its bootstrap seed from the
-    r-th child of ``SeedSequence(seed)``.  Each chunk of replications is
+    Replication r draws its two samples and its bootstrap seed from
+    ``SeedSequence(seed, spawn_key=(r, j))``, j = 0, 1, 2: the children of
+    the r-th child of ``SeedSequence(seed)``.  Each chunk of replications is
     simulated with one ``simulate_series`` call per group and evaluated by
     one ``evaluate`` call, which bootstraps the chunk's pairs together.
 
@@ -298,12 +301,10 @@ def run_cell(scenario: Scenario) -> CellResult:
     start = time.perf_counter()
     counts = {name: 0 for name in TEST_COLUMNS}
     excluded = 0
-    root = np.random.SeedSequence(scenario.seed)
     per_block = _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1)
     chunk = max(1, min(_MAX_CHUNK_PAIRS, per_block))
     for lo in range(0, scenario.n_mc, chunk):
-        # spawn(a) then spawn(b) gives the children of spawn(a + b)
-        excluded += _tally_chunk(scenario, root.spawn(min(chunk, scenario.n_mc - lo)), counts)
+        excluded += _tally_chunk(scenario, range(lo, min(lo + chunk, scenario.n_mc)), counts)
     completed = scenario.n_mc - excluded
     if completed == 0:
         raise DegenerateSampleError("every replication was degenerate")

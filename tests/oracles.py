@@ -291,11 +291,11 @@ def modulated_coefficients(spectrum: np.ndarray, k: int, k_star: int) -> np.ndar
 def operator(lrv):
     """A group's whole (w, A) for K* = K multiplier pairs, A scaled by
     T^{-1/2} so that the replicate's LRV over T is the mean of (A v)^2;
-    ``sharwb`` forms A in row blocks instead."""
+    ``sharwb`` forms A in blocks of rows and columns instead."""
     sample, k = lrv.sample, lrv.k
     cos_sums, sin_sums = basis.cos_sin_sums(sample.spectrum, k)
     w = np.concatenate([cos_sums, sin_sums]) / (sample.n * math.sqrt(k))
-    a = basis.modulated_coefficients(sample.spectrum, k, k)
+    a = basis.modulated_coefficients([sample.spectrum], k, k)[0]
     a /= math.sqrt(sample.n * k)
     return w, a
 

@@ -212,7 +212,7 @@ class TestBootstrapTransforms:
         cos_tab, sin_tab = oracles.psi_matrices(n, n // 2)
         for k in sorted({1, 2, 3, n // 2}):
             for k_star in sorted({1, 2, n // 2}):
-                got = basis.modulated_coefficients(basis.dft(u), k, k_star)
+                got = basis.modulated_coefficients([basis.dft(u)], k, k_star)[0]
                 want = np.hstack([
                     oracles.project_all(u[:, None] * cos_tab[:, :k_star], k),
                     oracles.project_all(u[:, None] * sin_tab[:, :k_star], k),
@@ -229,7 +229,7 @@ class TestBootstrapTransforms:
             for k_star in sorted({1, k, n // 2}):
                 if k * k_star > 2**24:
                     continue
-                got = basis.modulated_coefficients(spectrum, k, k_star)
+                got = basis.modulated_coefficients([spectrum], k, k_star)[0]
                 want = oracles.modulated_coefficients(spectrum, k, k_star)
                 assert got.tobytes() == want.tobytes(), (k, k_star)
 
@@ -238,12 +238,30 @@ class TestBootstrapTransforms:
         # blocks of 2, 4 and 128 rows, the last one cut short by K (odd K
         # ends on a cosine row), and a stop past K
         spectrum = basis.dft(np.random.default_rng(k).standard_normal(997))
-        full = basis.modulated_coefficients(spectrum, k, k)
+        full = basis.modulated_coefficients([spectrum], k, k)[0]
         for rows in (2, 4, 128):
             for lo in range(0, k, rows):
-                got = basis.modulated_coefficients(spectrum, k, k, lo, lo + rows)
+                got = basis.modulated_coefficients([spectrum], k, k, (lo, lo + rows))[0]
                 assert got.shape == (min(rows, k - lo), 2 * k)
                 assert got.tobytes() == full[lo : lo + rows].tobytes(), (rows, lo)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 131])
+    def test_modulated_coefficients_blocks_same_bytes_as_each_whole_matrix(self, k):
+        # two spectra of different lengths at once, in blocks of 2 and 128
+        # rows by pieces of 1, 5 and 128 columns; 5-column pieces straddle
+        # the cosine/sine boundary for every K here but 1 and 5
+        rng = np.random.default_rng(k)
+        spectra = [basis.dft(rng.standard_normal(n)) for n in (997, 1000)]
+        full = [basis.modulated_coefficients([spectrum], k, k)[0] for spectrum in spectra]
+        for rows in (2, 128):
+            for width in (1, 5, 128):
+                for lo in range(0, k, rows):
+                    for c_lo in range(0, 2 * k, width):
+                        got = basis.modulated_coefficients(
+                            spectra, k, k, (lo, lo + rows), (c_lo, c_lo + width))
+                        want = np.stack([f[lo : lo + rows, c_lo : c_lo + width] for f in full])
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (rows, width, lo, c_lo)
 
     @pytest.mark.parametrize("n", [8, 9, 30, 31, 200, 201])
     def test_cos_sin_series_matches_dense_tables(self, n):

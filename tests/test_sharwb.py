@@ -37,10 +37,23 @@ def fits(y1, y2, k1="auto", k2="auto"):
 
 
 def kernel(group_fits, v1, v2):
-    """The replicate statistics of two fits for given innovation draws."""
+    """The replicate statistics of two fits for given innovation draws, of
+    shape (2, K*, *batch), served in consecutive pieces as ``_draws``
+    serves a stream."""
     draws = (v1, v2)
-    return _replicate_stats([group_fits], lambda g, idx, shape: draws[g].reshape(shape),
-                            v1.shape[2:])[0]
+
+    def draw(g, idx):
+        stream = draws[g].reshape(1, -1, *draws[g].shape[2:])
+        taken = 0
+
+        def piece(shape):
+            nonlocal taken
+            taken += shape[1]
+            return stream[:, taken - shape[1] : taken].reshape(shape)
+
+        return piece
+
+    return _replicate_stats([group_fits], draw, v1.shape[2:])[0]
 
 
 def innovations(rng, shape, law):
@@ -358,9 +371,9 @@ class TestSequenceForm:
                     out[(j, 7) if batch else j] = np.nan
             return out
 
-        def recording(group_fits, v):
+        def recording(group_fits, draw, batch):
             stacked.append((group_fits[0].k, len(group_fits)))
-            return moments(group_fits, v)
+            return moments(group_fits, draw, batch)
 
         moments = sharwb_mod._group_moments
         monkeypatch.setattr(sharwb_mod, "_replicate_stats", with_hole)
@@ -464,26 +477,64 @@ class TestReplicateKernel:
 
     @pytest.mark.parametrize("k", [4, 9, 60])
     @pytest.mark.parametrize("law", ["normal", "rademacher"])
-    def test_blocks_of_two_frequencies_agree_with_one_block(self, k, law, monkeypatch):
-        # K and K + 1, one odd and one even, in blocks of 4 rows against one
-        # block of all K rows
+    def test_pieces_agree_with_one_piece(self, k, law, monkeypatch):
+        # K and K + 1, one odd and one even, drawn in pieces of 2 and 5
+        # columns (pieces of 5 straddle the cosine/sine boundary of one group
+        # in each case: K = 4, 9 or 61) and formed in blocks of 4 rows,
+        # against one piece and one block of all 2K* columns and K rows;
+        # batch (B,) is the bootstrap and () the redraws
         rng = np.random.default_rng(k)
         y1 = sample(rng.standard_normal(300))
         y2 = sample(2.0 * rng.standard_normal(301))
         group_fits = fits(y1, y2, k, k + 1)
+        cases = []
+        for batch in ((), (49,)):
+            v1 = innovations(rng, (2, k, *batch), law)
+            v2 = innovations(rng, (2, k + 1, *batch), law)
+            cases.append((v1, v2, kernel(group_fits, v1, v2)))
         report, run = shar_wb_test(*group_fits, n_boot=199, seed=k, law=law)
         monkeypatch.setattr(sharwb_mod, "_BLOCK_FREQS", 2)
-        report2, run2 = shar_wb_test(*group_fits, n_boot=199, seed=k, law=law)
-        want, got = run.replicate_stats, run2.replicate_stats
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-        assert (run2.p_value, report2.reject) == (run.p_value, report.reject)
-        assert run2.crit_lo == pytest.approx(run.crit_lo, rel=1e-12)
-        assert run2.crit_hi == pytest.approx(run.crit_hi, rel=1e-12)
+        for width in (2, 5):
+            monkeypatch.setattr(sharwb_mod, "_PIECE_COLUMNS", width)
+            for v1, v2, want in cases:
+                got = kernel(group_fits, v1, v2)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            report2, run2 = shar_wb_test(*group_fits, n_boot=199, seed=k, law=law)
+            want, got = run.replicate_stats, run2.replicate_stats
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert (run2.p_value, report2.reject) == (run.p_value, report.reject)
+            assert run2.crit_lo == pytest.approx(run.crit_lo, rel=1e-12)
+            assert run2.crit_hi == pytest.approx(run.crit_hi, rel=1e-12)
+        # one piece of all 2K* columns and one block of all K rows: the bytes
+        # of the whole operators' product
+        monkeypatch.setattr(sharwb_mod, "_BLOCK_FREQS", 64)
+        monkeypatch.setattr(sharwb_mod, "_PIECE_COLUMNS", 2 * k + 2)
+        ops = [oracles.operator(fit) for fit in group_fits]
+        for v1, v2, want in cases:
+            got = kernel(group_fits, v1, v2)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == oracles.replicate_kernel(*ops, v1, v2).tobytes()
+
+    @pytest.mark.parametrize("law", ["normal", "rademacher"])
+    def test_draws_continue_each_stream(self, law):
+        # pieces of 3, 1 and 5 rows of 7 draws: odd counts, so a Rademacher
+        # piece that dropped the unused half of a 64-bit draw would shift
+        # every later value
+        streams = [[np.random.SeedSequence(s), np.random.SeedSequence(s + 1)] for s in (4, 8)]
+        piece = sharwb_mod._draws(streams, law)(1, [1, 0])
+        got = np.concatenate([piece((2, n, 7)) for n in (3, 1, 5)], axis=1)
+        want = sharwb_mod._draws(streams, law)(1, [1, 0])((2, 9, 7))
+        assert got.tobytes() == want.tobytes()
+        again = innovations(np.random.default_rng(streams[0][1]), (9, 7), law)
+        assert want[1].tobytes() == again.tobytes()
 
     def test_traced_peak_at_the_bench_white_noise_shape(self):
         # T = 10 000 white noise per group (K = 635 and 554), B = 399: the
         # whole operators and both groups' draws took 22 MB at once; one
-        # group's draws and one 128-row block of its operator take 7 MB
+        # group's draws and one 128-row block of its operator took 6.8 MiB;
+        # its K x B coefficients, one 128-column piece of draws and one
+        # block of that piece take about 3.2 MiB, under one group's draws
         rng = np.random.default_rng(1)
         y1 = simulate_series(10_000, 0.0, 1.0, 0.0, "normal", rng)
         y2 = simulate_series(10_000, 0.0, 1.0, 0.0, "normal", rng)
@@ -496,6 +547,7 @@ class TestReplicateKernel:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+        assert peak < 2 * 635 * 399 * 8, peak
 
     def test_traced_peak_stays_small_at_large_T(self):
         # T = 20 000 per group, B = 399: the dense multiplier path held

@@ -372,9 +372,13 @@ class TestRunCell:
         drawn = []
         original = sharwb_mod._group_moments
 
-        def recording(fits, v):
-            drawn.append(v.nbytes)
-            return original(fits, v)
+        def recording(fits, draw, batch):
+            def piece(shape):
+                v = draw(shape)
+                drawn.append(v.nbytes)
+                return v
+
+            return original(fits, piece, batch)
 
         monkeypatch.setattr(sharwb_mod, "_group_moments", recording)
         peaks = []
