@@ -21,6 +21,7 @@ import math
 import sys
 
 import harmeans.lrv as lrv
+import harmeans.simlab as simlab
 from harmeans.simlab import Scenario, run_cell
 
 QUARTIC = lrv._curvature_b
@@ -58,6 +59,8 @@ def main() -> int:
     for label, kw in CELLS:
         for rule_name, rule in (("quartic", QUARTIC), ("spectral", spectral)):
             lrv._curvature_b = rule
+            # lab workers forked under the other rule would keep it
+            simlab._stop_workers()
             try:
                 cell = run_cell(
                     Scenario(

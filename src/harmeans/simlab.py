@@ -12,7 +12,8 @@ standard normal or standardized chi-square(1) for a skewed alternative.
 Welch under normal and adjusted-t references, and the wild bootstrap) on
 one sample pair, or on a sequence of pairs at once; it is shared with
 ``harmeans test``.  ``run_cell`` evaluates ``n_mc`` fresh sample pairs a
-chunk at a time and tallies rejection rates.
+chunk at a time, spread over the CPUs the process may use, and tallies
+rejection rates.
 ``run_table`` sweeps a scenario grid and writes a human-readable rate table
 plus a machine-readable JSON artifact with raw counts, seeds, and excluded
 replications.
@@ -22,6 +23,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -285,6 +289,120 @@ def _tally_chunk(scenario: Scenario, reps: range, counts: dict) -> int:
     return excluded
 
 
+def _tally_range(scenario: Scenario, reps: range, counts: dict) -> int:
+    """Tally the replications ``reps`` a chunk at a time into ``counts`` and
+    return how many were excluded."""
+    per_block = _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1)
+    chunk = max(1, min(_MAX_CHUNK_PAIRS, per_block))
+    return sum(
+        _tally_chunk(scenario, range(lo, min(lo + chunk, reps.stop)), counts)
+        for lo in range(reps.start, reps.stop, chunk)
+    )
+
+
+# Fewest replications a process is given: a cell of fewer than twice as many,
+# such as a smoke run, stays in the calling process and forks nothing.
+_MIN_RANGE = 16
+# The lab's worker processes, (process, connection) each, forked on the
+# first split and kept for later cells; _workers_pid is the process that
+# forked them, so that a fork of it does not take them for its own.
+_workers: list = []
+_workers_pid = 0
+_workers_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """How many processes a cell may be spread over: the CPUs in this
+    process's affinity mask.  1 in a daemonic process (a lab worker, or
+    another pool's), which may not start processes, and on platforms with
+    no affinity mask, where the lab does not fork."""
+    mp = sys.modules.get("multiprocessing")
+    if not hasattr(os, "sched_getaffinity") or (mp and mp.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _exit_with(caller: int) -> None:
+    """End this worker once its caller is gone: a worker busy with a range
+    would not see its connection close."""
+    while os.getppid() == caller:
+        time.sleep(0.25)
+    os._exit(1)
+
+
+def _serve(conn, caller: int) -> None:
+    """A worker's loop: tally each (scenario, range) the caller sends and
+    reply (exception or None, counts, excluded), until the caller stops this
+    worker or is gone."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    threading.Thread(target=_exit_with, args=(caller,), daemon=True).start()
+    while True:
+        try:
+            scenario, reps = conn.recv()
+        except EOFError:  # the caller is gone
+            return
+        counts = {name: 0 for name in TEST_COLUMNS}
+        try:
+            reply = (None, counts, _tally_range(scenario, reps, counts))
+        except Exception as exc:  # the caller raises it
+            reply = (exc, None, 0)
+        conn.send(reply)
+
+
+def _connections(n: int) -> list:
+    """Connections to n workers, forking those not running yet."""
+    global _workers_pid
+    import multiprocessing
+
+    if _workers_pid != os.getpid():
+        _workers.clear()
+        _workers_pid = os.getpid()
+    # fork: a worker must not re-run the caller's __main__, as spawn would
+    context = multiprocessing.get_context("fork")
+    while len(_workers) < n:
+        ours, theirs = context.Pipe()
+        process = context.Process(target=_serve, args=(theirs, os.getpid()), daemon=True)
+        process.start()
+        theirs.close()
+        _workers.append((process, ours))
+    return [conn for _, conn in _workers[:n]]
+
+
+def _stop_workers() -> None:
+    """Terminate every worker; the next split forks new ones."""
+    for process, conn in _workers:
+        process.terminate()
+        process.join()
+        conn.close()
+    _workers.clear()
+
+
+def _tally_split(scenario: Scenario, ranges: list[range], counts: dict) -> int:
+    """Tally ``ranges[0]`` here and each later range in a worker, summing
+    their counts into ``counts``; return how many were excluded."""
+    with _workers_lock:
+        try:
+            conns = _connections(len(ranges) - 1)
+            for conn, reps in zip(conns, ranges[1:]):
+                conn.send((scenario, reps))
+            excluded = _tally_range(scenario, ranges[0], counts)
+            replies = [conn.recv() for conn in conns]
+        except BaseException as exc:
+            _stop_workers()  # they may still be busy with this cell, or one has died
+            if isinstance(exc, (EOFError, ConnectionError)):
+                raise RuntimeError("a lab worker process has exited") from exc
+            raise
+    for error, part, part_excluded in replies:
+        if error is not None:
+            raise error
+        excluded += part_excluded
+        for name in TEST_COLUMNS:
+            counts[name] += part[name]
+    return excluded
+
+
 def run_cell(scenario: Scenario) -> CellResult:
     """Monte Carlo rejection rates of all six tests for one scenario.
 
@@ -294,17 +412,29 @@ def run_cell(scenario: Scenario) -> CellResult:
     simulated with one ``simulate_series`` call per group and evaluated by
     one ``evaluate`` call, which bootstraps the chunk's pairs together.
 
+    [0, n_mc) is cut into P contiguous ranges, P = min(CPUs in the process's
+    affinity mask, n_mc // 16): the calling process tallies the first and
+    forked worker processes the others, and their counts are summed.  A
+    replication's result does not depend on the process that runs it, so
+    the result is the same for every P; a 1-CPU mask (``taskset -c 0``) or
+    a cell of fewer than 32 replications runs in the calling process alone.
+    The workers are forked on the first split and kept for later cells, one
+    cell at a time; they exit with the calling process.  An exception in a
+    worker is raised here.
+
     Replications where any test is NA (a degenerate sample or bootstrap)
     are excluded from the rate denominators but counted in ``n_excluded``;
     with continuous error laws this never fires.
     """
     start = time.perf_counter()
     counts = {name: 0 for name in TEST_COLUMNS}
-    excluded = 0
-    per_block = _MAX_BLOCK_DOUBLES // (max(scenario.t1, scenario.t2) + 1)
-    chunk = max(1, min(_MAX_CHUNK_PAIRS, per_block))
-    for lo in range(0, scenario.n_mc, chunk):
-        excluded += _tally_chunk(scenario, range(lo, min(lo + chunk, scenario.n_mc)), counts)
+    n_proc = max(1, min(_cpu_count(), scenario.n_mc // _MIN_RANGE))
+    bounds = [scenario.n_mc * i // n_proc for i in range(n_proc + 1)]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if n_proc == 1:
+        excluded = _tally_range(scenario, ranges[0], counts)
+    else:
+        excluded = _tally_split(scenario, ranges, counts)
     completed = scenario.n_mc - excluded
     if completed == 0:
         raise DegenerateSampleError("every replication was degenerate")

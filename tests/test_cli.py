@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from harmeans import __version__, cli
+from harmeans import simlab
 from harmeans.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -986,6 +987,24 @@ class TestSimulateCommand:
                      "--B", "19", "--out", str(tmp_path / "pin")])
         assert code == EXIT_OK
         assert_artifacts_pinned(tmp_path / "pin", "explicit")
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_artifacts_are_pinned_for_any_process_count(
+        self, tmp_path, monkeypatch, capsys, processes
+    ):
+        # ranges of one replication, so that cells of n_mc = 2 and 3 are split
+        monkeypatch.setattr(simlab, "_cpu_count", lambda: processes)
+        monkeypatch.setattr(simlab, "_MIN_RANGE", 1)
+        for preset in PRESET_NAMES:
+            code = main(["simulate", "--preset", preset, "--n-mc", "2", "--B", "19",
+                         "--seed", "7", "--out", str(tmp_path / preset)])
+            assert code == EXIT_OK
+            assert_artifacts_pinned(tmp_path / preset, preset)
+        code = main(["simulate", "--t1", "30", "--t2", "30", "--rho", "0.5", "--n-mc", "3",
+                     "--B", "19", "--out", str(tmp_path / "explicit")])
+        assert code == EXIT_OK
+        assert_artifacts_pinned(tmp_path / "explicit", "explicit")
+        assert len(simlab._workers) >= processes - 1
 
     def test_default_out_stem(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -2,6 +2,8 @@
 holds only code that its products run or that it exports."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +51,14 @@ def test_every_top_level_def_is_used_in_the_package_or_public():
             ):
                 unused.append(definition.name)
     assert not unused, f"neither referenced in src/harmeans nor in __all__: {sorted(unused)}"
+
+
+def test_import_loads_no_process_machinery():
+    # the lab forks its workers on a cell's first split; importing the
+    # package, as every `harmeans` command does first, stays as cheap as before
+    code = ("import sys, harmeans, harmeans.cli; "
+            "print(*sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.split() == [], out.stdout

@@ -1,9 +1,16 @@
 """Monte Carlo lab: DGP moments, cell determinism, table artifacts."""
 
+import importlib.util
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +21,7 @@ import harmeans.simlab as simlab_mod
 import harmeans.ttests as ttests_mod
 import oracles
 from harmeans import basis
-from harmeans.errors import DomainError
+from harmeans.errors import DegenerateSampleError, DomainError
 from harmeans.lrv import TimeSeriesSample, series_lrv
 from harmeans.sharwb import shar_wb_test
 from harmeans.simlab import (
@@ -30,6 +37,13 @@ from harmeans.simlab import (
 from harmeans.ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
 
 FAST = {"n_mc": 40, "n_boot": 29}
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Run every cell in this process: a worker forked earlier sees none of
+    the test's patches, and tracemalloc traces only this process."""
+    monkeypatch.setattr(simlab_mod, "_cpu_count", lambda: 1)
 
 
 def wfh_pair() -> tuple[TimeSeriesSample, TimeSeriesSample]:
@@ -329,7 +343,7 @@ class TestRunCell:
         assert res.n_excluded == 0
         assert res.n_completed == FAST["n_mc"]
 
-    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch):
+    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch, one_process):
         sc = Scenario(t1=40, t2=36, rho=0.3, seed=11, **FAST)
         whole = run_cell(sc)
         calls = []
@@ -348,7 +362,7 @@ class TestRunCell:
             sizes += [FAST["n_mc"] % per_chunk] if FAST["n_mc"] % per_chunk else []
             assert calls == [size for size in sizes for _ in range(2)]
 
-    def test_memory_flat_in_n_mc_once_chunked(self, monkeypatch):
+    def test_memory_flat_in_n_mc_once_chunked(self, monkeypatch, one_process):
         # three replications of T = 2000 per chunk: the chunk's samples are
         # most of the peak, and quadrupling n_mc adds only its seeds
         monkeypatch.setattr(simlab_mod, "_MAX_BLOCK_DOUBLES", 3 * 2001)
@@ -363,7 +377,7 @@ class TestRunCell:
                 tracemalloc.stop()
         assert peaks[2] < 1.1 * peaks[1], peaks
 
-    def test_memory_flat_in_n_mc_with_stacked_bootstraps(self, monkeypatch):
+    def test_memory_flat_in_n_mc_with_stacked_bootstraps(self, monkeypatch, one_process):
         # 64 white-noise replications of T = 200 per chunk (K about 30) at
         # B = 399: one group's draws for a whole chunk take about 12 MiB,
         # but a sub-batch holds at most _MAX_STACK_DOUBLES doubles, and one
@@ -396,26 +410,35 @@ class TestRunCell:
         one_group_per_chunk = sum(drawn) / (2 * 256 // 64)
         assert peaks[2] < one_group_per_chunk / 2, (peaks, one_group_per_chunk)
 
-    def test_seeds_spawned_one_chunk_at_a_time(self, monkeypatch):
+    def test_seeds_spawned_one_chunk_at_a_time(self, monkeypatch, one_process):
         # one replication of T = 8 per chunk: spawning every replication's
         # SeedSequence before the first chunk grew the peak by ~350 bytes
-        # per replication.  A first run of 2 000 replications fills numpy's
-        # FFT caches and the interpreter's free lists, whose objects the
-        # trace would otherwise count as they accumulate.
+        # per replication.  The peak is read after replication 40 of a cell
+        # of 40 and of a cell of 400, so both runs have evaluated the same
+        # replications (the same K mix).  A first run of 2 000 replications
+        # fills numpy's FFT caches and the interpreter's free lists, whose
+        # objects the trace would otherwise count as they accumulate.
         monkeypatch.setattr(simlab_mod, "_MAX_BLOCK_DOUBLES", 9)
         run_cell(Scenario(t1=8, t2=8, rho=0.5, seed=3, n_mc=2000, n_boot=19))
-        peaks = []
+        original, peaks = simlab_mod._tally_chunk, []
+
+        def peak_after_replication_40(scenario, reps, counts):
+            excluded = original(scenario, reps, counts)
+            if reps.stop == 40:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return excluded
+
+        monkeypatch.setattr(simlab_mod, "_tally_chunk", peak_after_replication_40)
         for n_mc in (40, 400):
             sc = Scenario(t1=8, t2=8, rho=0.5, seed=3, n_mc=n_mc, n_boot=19)
             tracemalloc.start()
             try:
                 run_cell(sc)
-                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
 
-    def test_replication_with_any_na_is_excluded(self, monkeypatch):
+    def test_replication_with_any_na_is_excluded(self, monkeypatch, one_process):
         # a constant first group leaves only t1_har NA (zero LRV, no adjusted
         # df); that alone excludes the replication
         original = simlab_mod.simulate_series
@@ -462,6 +485,217 @@ class TestRunCell:
             r1 = cells[1.1].rejection_rates[name]
             r2 = cells[1.2].rejection_rates[name]
             assert r2 >= r1 >= r0, f"{name}: {r0}, {r1}, {r2}"
+
+
+# The five acceptance cells that bench/child.py sweeps (c1 to c4b).
+BENCH_CELLS = [
+    {"t1": 200, "t2": 200, "rho": 0.0},
+    {"t1": 200, "t2": 200, "rho": 0.8},
+    {"t1": 30, "t2": 30, "rho": 0.5, "sigma1": 0.06, "sigma2": 0.18},
+    {"t1": 200, "t2": 200, "rho": 0.8, "a": 1.1},
+    {"t1": 200, "t2": 200, "rho": 0.8, "a": 1.2},
+]
+SRC = Path(__file__).resolve().parents[1] / "src"
+CALIBRATIONS = Path(__file__).resolve().parents[1] / "scripts" / "compare_k_calibrations.py"
+
+
+@pytest.fixture
+def fresh_workers():
+    """Workers forked during the test, so that they see its patches; they
+    are stopped after it, so that no later test meets those patches."""
+    simlab_mod._stop_workers()
+    yield
+    simlab_mod._stop_workers()
+
+
+def results_by_process_count(monkeypatch, scenario) -> dict:
+    """run_cell's result for each forced process count, 1 to 3."""
+    results = {}
+    for n in (1, 2, 3):
+        monkeypatch.setattr(simlab_mod, "_cpu_count", lambda n=n: n)
+        results[n] = run_cell(scenario)
+    return results
+
+
+def start_caller(tail: str = "") -> tuple[subprocess.Popen, list[int]]:
+    """A `python -c` caller that splits a cell over two processes, prints its
+    workers' pids, then runs ``tail``; returns it and the pids."""
+    code = (
+        "import signal\n"
+        "signal.alarm(120)\n"  # a caller that hangs ends, and so does readline
+        "import harmeans.simlab as simlab\n"
+        "simlab._cpu_count = lambda: 2\n"
+        "simlab.run_cell(simlab.Scenario(t1=30, t2=30, rho=0.5, n_mc=32, n_boot=19))\n"
+        "print(*[process.pid for process, _ in simlab._workers], flush=True)\n"
+    ) + tail
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    caller = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return caller, [int(pid) for pid in caller.stdout.readline().split()]
+
+
+def running(pid: int) -> bool:
+    """The process exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def wait_gone(pids: list[int], seconds: float) -> list[int]:
+    deadline = time.monotonic() + seconds
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if running(pid)]
+
+
+class TestProcesses:
+    @pytest.mark.parametrize(
+        ("cell", "n_mc"),
+        [pytest.param(cell, 100, id=f"{name}-100")
+         for name, cell in zip(("c1", "c2", "c3", "c4a", "c4b"), BENCH_CELLS)]
+        + [pytest.param(BENCH_CELLS[2], 50, id="c3-50"),  # 3 processes: 16, 17 and 17
+           pytest.param(BENCH_CELLS[2], 31, id="c3-31")],  # below the split: one process
+    )
+    def test_counts_equal_for_one_two_and_three_processes(self, monkeypatch, cell, n_mc):
+        splits, original = [], simlab_mod._tally_split
+
+        def recording(scenario, ranges, counts):
+            splits.append([(r.start, r.stop) for r in ranges])
+            return original(scenario, ranges, counts)
+
+        monkeypatch.setattr(simlab_mod, "_tally_split", recording)
+        results = results_by_process_count(
+            monkeypatch, Scenario(seed=7, n_mc=n_mc, n_boot=199, **cell))
+        for n in (2, 3):  # reject counts and rates, n_completed and n_excluded
+            assert results[n] == results[1]
+        assert (results[1].n_completed, results[1].n_excluded) == (n_mc, 0)
+        want = {100: [[(0, 50), (50, 100)], [(0, 33), (33, 66), (66, 100)]],
+                50: [[(0, 25), (25, 50)], [(0, 16), (16, 33), (33, 50)]],
+                31: []}
+        assert splits == want[n_mc]
+
+    def test_exclusions_equal_for_one_two_and_three_processes(self, monkeypatch, fresh_workers):
+        # replications 10 (the caller's range) and 80 (a worker's) have a
+        # constant first sample, so t1_har is NA and both are excluded
+        original = simlab_mod.simulate_series
+
+        def constant_in_two_replications(n, rho, sigma, mu, law, rngs):
+            samples = original(n, rho, sigma, mu, law, rngs)
+            for i, rng in enumerate(rngs):
+                if rng.bit_generator.seed_seq.spawn_key in ((10, 0), (80, 0)):
+                    samples[i] = TimeSeriesSample.from_values([mu] * n)
+            return samples
+
+        monkeypatch.setattr(simlab_mod, "simulate_series", constant_in_two_replications)
+        results = results_by_process_count(
+            monkeypatch, Scenario(t1=30, t2=31, rho=0.0, seed=5, n_mc=100, n_boot=29))
+        assert len(simlab_mod._workers) == 2
+        for n in (1, 2, 3):
+            assert (results[n].n_excluded, results[n].n_completed) == (2, 98)
+            assert results[n] == results[1]
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_exception_reaches_the_caller(self, monkeypatch, fresh_workers, where):
+        original = simlab_mod._tally_chunk
+        failing = 0 if where == "caller" else 39
+
+        def fails_in_one_range(scenario, reps, counts):
+            if scenario.seed == 99 and failing in reps:
+                raise DegenerateSampleError(f"replication {failing} failed")
+            return original(scenario, reps, counts)
+
+        monkeypatch.setattr(simlab_mod, "_tally_chunk", fails_in_one_range)
+        monkeypatch.setattr(simlab_mod, "_cpu_count", lambda: 2)
+        with pytest.raises(DegenerateSampleError) as info:
+            run_cell(Scenario(t1=30, t2=30, rho=0.5, seed=99, n_mc=40, n_boot=19))
+        assert type(info.value) is DegenerateSampleError
+        assert str(info.value) == f"replication {failing} failed"
+        # the caller discards busy workers; a worker's error leaves it ready
+        assert len(simlab_mod._workers) == (0 if where == "caller" else 1)
+        sc = Scenario(t1=30, t2=30, rho=0.5, seed=5, n_mc=40, n_boot=19)
+        split = run_cell(sc)
+        monkeypatch.setattr(simlab_mod, "_cpu_count", lambda: 1)
+        assert split == run_cell(sc)
+
+    def test_a_worker_that_died_is_replaced_after_one_failed_cell(
+        self, monkeypatch, fresh_workers
+    ):
+        monkeypatch.setattr(simlab_mod, "_cpu_count", lambda: 2)
+        sc = Scenario(t1=30, t2=30, rho=0.5, seed=5, n_mc=40, n_boot=19)
+        split = run_cell(sc)
+        ((process, _),) = simlab_mod._workers
+        process.kill()
+        process.join(timeout=10)
+        assert process.exitcode == -signal.SIGKILL
+        with pytest.raises(RuntimeError, match="^a lab worker process has exited$"):
+            run_cell(sc)
+        assert simlab_mod._workers == []
+        assert run_cell(sc) == split
+        assert len(simlab_mod._workers) == 1
+
+    def test_a_worker_runs_its_cells_alone(self, monkeypatch, fresh_workers):
+        # the caller splits; a cell that a worker ran would not be split
+        caller, cpu_count = os.getpid(), simlab_mod._cpu_count
+        monkeypatch.setattr(
+            simlab_mod, "_cpu_count", lambda: 2 if os.getpid() == caller else cpu_count())
+        original = simlab_mod._tally_range
+
+        def report_from_the_worker(scenario, reps, counts):
+            if os.getpid() != caller:
+                raise DomainError(f"a worker may use {simlab_mod._cpu_count()} process(es)")
+            return original(scenario, reps, counts)
+
+        monkeypatch.setattr(simlab_mod, "_tally_range", report_from_the_worker)
+        with pytest.raises(DomainError, match=r"^a worker may use 1 process\(es\)$"):
+            run_cell(Scenario(t1=30, t2=30, rho=0.5, seed=5, n_mc=32, n_boot=19))
+
+    def test_calibration_script_rows_equal_for_one_and_two_processes(
+        self, monkeypatch, capsys, fresh_workers
+    ):
+        # the script rebinds lrv._curvature_b between cells: a worker forked
+        # under one rule must not run the other rule's replications
+        spec = importlib.util.spec_from_file_location("compare_k_calibrations", CALIBRATIONS)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(CALIBRATIONS), "--n-mc", "32", "--B", "19"])
+        outputs = []
+        for n in (1, 2):
+            monkeypatch.setattr(simlab_mod, "_cpu_count", lambda n=n: n)
+            assert script.main() == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert len(simlab_mod._workers) == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_workers_stop_when_the_caller_exits(self):
+        caller, pids = start_caller()
+        out, err = caller.communicate(timeout=60)
+        assert caller.returncode == 0, err
+        assert len(pids) == 1
+        assert err == ""  # interpreter exit prints nothing
+        assert wait_gone(pids, 5.0) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_workers_exit_when_the_caller_is_killed(self):
+        # the second cell keeps both processes busy for minutes
+        caller, pids = start_caller(
+            "simlab.run_cell(simlab.Scenario(t1=200, t2=200, rho=0.5, n_mc=10**6, n_boot=199))\n")
+        try:
+            assert len(pids) == 1
+            time.sleep(1.0)
+            assert running(pids[0])
+            caller.send_signal(signal.SIGKILL)
+            caller.wait(timeout=10)
+            assert wait_gone(pids, 5.0) == []
+        finally:  # workers share the caller's pipes: stop them before reading
+            caller.kill()
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
+            caller.communicate(timeout=30)
 
 
 class TestRunTable:
