@@ -97,6 +97,7 @@ class TimeSeriesSample:
     squares, which ``variance()`` reads."""
 
     values: np.ndarray
+    n: int  # the number of values
     mean: float
     residuals: np.ndarray
     spectrum: np.ndarray = field(repr=False)
@@ -129,20 +130,17 @@ class TimeSeriesSample:
             means = values.mean(axis=1)
             resid = values - means[:, None]
         with _calling_thread_blas(), np.errstate(over="ignore"):
-            energies = [u.dot(u) for u in resid]
-        if not all(map(math.isfinite, energies)):
+            energies = np.vecdot(resid, resid)  # one dot per row, as u.dot(u)
+        if not np.all(np.isfinite(energies)):
             raise DomainError("sample values too large: residual sum of squares is not finite")
         spectra = basis.dft(resid.T)
+        n = values.shape[1]
         for arr in (values, resid, spectra):
             arr.flags.writeable = False
         return [
-            cls(values=v, mean=float(m), residuals=u, spectrum=f, _energy=e)
+            cls(values=v, n=n, mean=float(m), residuals=u, spectrum=f, _energy=e)
             for v, m, u, f, e in zip(values, means, resid, spectra.T, energies)
         ]
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
     @property
     def max_k(self) -> int:
@@ -221,14 +219,22 @@ def _curvature_b(a: float, sigma: float) -> float:
     return -(math.pi**2 / 6.0) * shrink * bracket * shrink
 
 
-def select_k(sample: TimeSeriesSample) -> KSelection:
+def select_k(sample):
     """Data-driven basis count K_hat for the series LRV estimator.
 
     Evaluates the AR(1) plug-in curvature B, normalizes to B_bar = B/sigma,
     applies K_hat = ceil(0.42293 |B_bar|^{-1/3} T^{2/3}), and clamps the
     result to [1, floor(T/2)].  `clamped` records whether the raw rule was
     overridden (including the B_bar = 0 case, where the raw rule diverges).
+
+    A sequence of samples gives ``(k_hat, notes)``: an integer array with
+    each sample's K_hat, and a list with, per sample, None or the message of
+    the ``DegenerateSampleError`` its own call raises, where K_hat is 1.
+    The rule runs on each length's (R, T) block of residuals at once (see
+    ``_block_k``); every K_hat is the one its own call gives.
     """
+    if not isinstance(sample, TimeSeriesSample):
+        return _select_ks(sample)
     a_hat, sigma_hat = ar1_plugin(sample)
     b_hat = _curvature_b(a_hat, sigma_hat)
     b_bar = b_hat / sigma_hat
@@ -254,26 +260,116 @@ def select_k(sample: TimeSeriesSample) -> KSelection:
     )
 
 
-def series_lrv(sample: TimeSeriesSample, k="auto") -> LrvEstimate:
+# Relative distance from an integer within which a raw K taken on a block is
+# recomputed by the one-sample rule: numpy's power may round differently
+# from the C library's, by far less than this.
+_K_INTEGER_TOL = 1e-9
+# Bounds of a block's sigma_hat outside which the one-sample rule, which may
+# find the sample degenerate or too large, is taken instead.
+_SIGMA_RANGE = (1e-300, 1e300)
+
+
+def _block_k(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``select_k``'s K_hat for each row of an (R, T) block of residuals,
+    and a mask of the rows whose K_hat the one-sample rule must give.
+
+    The plug-in's sums are the rows' dot products, the same sums as
+    ``ar1_plugin`` takes; its powers are numpy's.  A row is masked where
+    the rule could round otherwise or raise: a raw K within _K_INTEGER_TOL
+    (relative) of an integer, B_bar = 0, or a plug-in that is degenerate or
+    outside _SIGMA_RANGE.  ``_curvature_b`` is read when called, so a
+    rebound rule applies here too."""
+    n = u.shape[1]
+    lag = u[:, :-1]
+    with _calling_thread_blas(), np.errstate(all="ignore"):
+        denom = np.vecdot(lag, lag)
+        a_hat = np.clip(np.vecdot(u[:, 1:], lag) / denom, -_A_HAT_CAP, _A_HAT_CAP)
+        innov = u[:, 1:] - a_hat[:, None] * lag
+        sigma_hat = np.vecdot(innov, innov) / (n - 1) / (1.0 - a_hat) ** 2
+        b_bar = _curvature_b(a_hat, sigma_hat) / sigma_hat
+        raw = 0.42293 * np.abs(b_bar) ** (-1.0 / 3.0) * n ** (2.0 / 3.0)
+        k_hat = np.clip(np.ceil(raw), 1, n // 2)
+        scalar = ~(
+            (denom > 0.0)
+            & (sigma_hat > _SIGMA_RANGE[0])
+            & (sigma_hat < _SIGMA_RANGE[1])
+            & (b_bar != 0.0)
+            & (np.abs(raw - np.rint(raw)) > _K_INTEGER_TOL * raw)
+        )
+    return np.where(scalar, 0, k_hat).astype(np.int64), scalar
+
+
+def _by_length(samples) -> dict:
+    """length -> the indices of the samples of that length."""
+    out = {}
+    for i, sample in enumerate(samples):
+        out.setdefault(sample.n, []).append(i)
+    return out
+
+
+def _select_ks(samples) -> tuple[np.ndarray, list]:
+    """``select_k`` on a sequence of samples: one ``_block_k`` per length,
+    and the one-sample rule on the rows it masks."""
+    k_hat = np.empty(len(samples), dtype=np.int64)
+    notes = [None] * len(samples)
+    for n, idx in _by_length(samples).items():
+        if n < 4:
+            raise DomainError(f"AR(1) plug-in needs T >= 4, got T={n}")
+        block, scalar = _block_k(np.stack([samples[i].residuals for i in idx]))
+        for j in np.flatnonzero(scalar).tolist():
+            try:
+                block[j] = select_k(samples[idx[j]]).k_hat
+            except DegenerateSampleError as exc:
+                block[j], notes[idx[j]] = 1, str(exc)
+        k_hat[idx] = block
+    return k_hat, notes
+
+
+def _estimates(samples, ks) -> list[LrvEstimate]:
+    """The estimates of the samples with basis counts ks, checked here.
+    Each length's coefficients are read off its samples' stacked spectra at
+    once; each omega is its own coefficients' sum."""
+    for sample, k in zip(samples, ks):
+        if not isinstance(k, numbers.Integral):
+            raise DomainError(f"k must be an integer or 'auto', got {k!r}")
+        if not 1 <= k <= sample.max_k:
+            raise DomainError(
+                f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
+            )
+    out = [None] * len(samples)
+    for idx in _by_length(samples).values():
+        block = basis.coefficients(np.stack([samples[i].spectrum for i in idx], axis=1),
+                                   max(ks[i] for i in idx))
+        block.flags.writeable = False
+        for j, i in enumerate(idx):
+            k = int(ks[i])
+            coeffs = block[:k, j]
+            out[i] = LrvEstimate(omega=float((coeffs * coeffs).sum()) / k, k=k,
+                                 coefficients=coeffs, sample=samples[i])
+    return out
+
+
+def series_lrv(sample, k="auto"):
     """Series LRV estimate: the average of the first k squared projections.
 
     ``k`` is an integer in [1, floor(T/2)] or "auto", which takes the
-    data-driven count ``select_k(sample).k_hat``.
+    data-driven count ``select_k(sample).k_hat``.  A sequence of samples
+    gives a list of estimates, one per sample; ``k`` is then one count or
+    "auto" for all of them, or a sequence of counts, one per sample.  With
+    "auto", every K is selected by one ``select_k`` call, and a degenerate
+    sample raises as its own call would.
     """
-    if k == "auto":
-        k = select_k(sample).k_hat
-    elif not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer or 'auto', got {k!r}")
-    k = int(k)
-    if not 1 <= k <= sample.max_k:
-        raise DomainError(
-            f"k must lie in [1, {sample.max_k}] for T={sample.n}, got {k}"
-        )
-    coeffs = basis.coefficients(sample.spectrum, k)
-    coeffs.flags.writeable = False
-    return LrvEstimate(
-        omega=float((coeffs * coeffs).sum()) / k, k=k, coefficients=coeffs, sample=sample
-    )
+    if isinstance(sample, TimeSeriesSample):
+        return _estimates([sample], [select_k(sample).k_hat if k == "auto" else k])[0]
+    if isinstance(k, str) and k == "auto":
+        k, notes = select_k(sample)
+        for note in notes:
+            if note is not None:
+                raise DegenerateSampleError(note)
+    ks = [k] * len(sample) if isinstance(k, (numbers.Integral, str)) else k
+    if len(ks) != len(sample):
+        raise DomainError(f"need one k per sample, got {len(ks)} for {len(sample)} samples")
+    return _estimates(sample, ks)
 
 
 def ljung_box(sample: TimeSeriesSample, lags: int = 10) -> tuple[float, float]:

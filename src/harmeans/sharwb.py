@@ -50,9 +50,10 @@ import numpy as np
 
 from . import basis
 from .errors import DegenerateReplicatesError, DegenerateSampleError, DomainError
-from .lrv import LrvEstimate, TimeSeriesSample, _calling_thread_blas
-from .statdist import DistKind, RefDistribution
-from .ttests import TestReport, _har_welch_statistic, _validate_alpha
+from .lrv import LrvEstimate, _calling_thread_blas
+from .seeds import spawn
+from .statdist import DistKind
+from .ttests import TestColumns, TestReport, _har_welch_statistic, _validate_alpha
 
 NORMAL_INNOVATIONS = "normal"
 RADEMACHER_INNOVATIONS = "rademacher"
@@ -89,6 +90,13 @@ class BootstrapRun:
     K2: int
     n_redrawn: int = 0
 
+    @classmethod
+    def of(cls, report: TestReport, replicate_stats: np.ndarray) -> "BootstrapRun":
+        """The run behind a bootstrap report, whose detail holds its facts."""
+        facts = ("crit_lo", "crit_hi", "B", "seed", "k_star1", "k_star2", "K1", "K2", "n_redrawn")
+        return cls(replicate_stats=replicate_stats, p_value=report.p_value,
+                   **{name: report.detail[name] for name in facts})
+
 
 def _draw_innovations(rng: np.random.Generator, law: str, out: np.ndarray) -> None:
     """Fill ``out`` with iid innovations of the given law."""
@@ -102,12 +110,12 @@ def _draw_innovations(rng: np.random.Generator, law: str, out: np.ndarray) -> No
 def _draws(streams, law: str):
     """``draw(g, idx)``: a function ``piece(shape)`` that returns a new array
     of that shape, (len(idx), columns, ...), whose row for pair i is the next
-    stretch of the stream ``streams[i][g]``, a Generator or a SeedSequence to
-    start one from.  Successive pieces continue each stream, so they hold
-    the values of one draw of all their columns."""
+    stretch of the stream of a PCG64 started from ``streams[i][g]``, a seed
+    sequence.  Successive pieces continue each stream, so they hold the
+    values of one draw of all their columns."""
 
     def draw(g, idx):
-        rngs = [np.random.default_rng(streams[i][g]) for i in idx]
+        rngs = [np.random.Generator(np.random.PCG64(streams[i][g])) for i in idx]
 
         def piece(shape):
             out = np.empty(shape)
@@ -118,10 +126,6 @@ def _draws(streams, law: str):
         return piece
 
     return draw
-
-
-def _pooled_mean(y1: TimeSeriesSample, y2: TimeSeriesSample) -> float:
-    return (y1.n * y1.mean + y2.n * y2.mean) / (y1.n + y2.n)
 
 
 def _group_moments(fits, draw, batch):
@@ -139,11 +143,12 @@ def _group_moments(fits, draw, batch):
     order."""
     r, k, per_pair = len(fits), fits[0].k, math.prod(batch)
     spectra = [fit.sample.spectrum for fit in fits]
+    sizes = np.array([fit.sample.n for fit in fits])[:, None, None]
     w = np.empty((r, 1, 2 * k))
-    for w_fit, fit in zip(w[:, 0], fits):
-        w_fit[:k], w_fit[k:] = basis.cos_sin_sums(fit.sample.spectrum, k)
-        w_fit /= fit.sample.n * math.sqrt(k)
-    scale = np.array([math.sqrt(fit.sample.n * k) for fit in fits])[:, None, None]
+    cos_sums, sin_sums = basis.cos_sin_sums(np.stack([u[: k + 1] for u in spectra], axis=1), k)
+    w[:, 0, :k], w[:, 0, k:] = cos_sums.T, sin_sums.T
+    w /= sizes * math.sqrt(k)
+    scale = np.sqrt(sizes * k)
     rows = min(k, 2 * _BLOCK_FREQS)
     z = np.empty((r, k, per_pair))
     # the first piece's products go straight into z; later ones are made in
@@ -214,8 +219,7 @@ def _redraw_degenerate(pair, stats: np.ndarray, seed: int, law: str) -> int:
     """Replace each NaN in one pair's replicate statistics by redrawing it
     from the pair's redraw streams, the children of spawn key (2,) of its
     seed, one replicate at a time; returns the number of redraws."""
-    draw = _draws([[np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, g)))
-                    for g in (0, 1)]], law)
+    draw = _draws([[np.random.SeedSequence(seed, spawn_key=(2, g)) for g in (0, 1)]], law)
     n_redrawn = 0
     for idx in np.flatnonzero(np.isnan(stats)):
         for _ in range(_MAX_CONSECUTIVE_REDRAWS):
@@ -246,7 +250,7 @@ def shar_wb_test(
     n_boot: int = 399,
     seed: int | Sequence[int] = 0,
     law: str = NORMAL_INNOVATIONS,
-) -> tuple[TestReport, BootstrapRun] | tuple[list, list]:
+) -> tuple[TestReport, BootstrapRun] | tuple[TestColumns, np.ndarray]:
     """Wild-bootstrap two-sample mean test robust to serial dependence.
 
     Takes each group's series LRV estimate (``series_lrv``), whose basis
@@ -260,16 +264,16 @@ def shar_wb_test(
 
     One pair gives ``(report, run)`` and raises when it is degenerate.
     Sequences ``lrv1``, ``lrv2`` and ``seed``, one entry per pair, give
-    ``(reports, runs)``, lists in pair order, where a degenerate pair's
-    report is its message and its run is None.  Each pair's result is the
-    one its own call would give.
+    ``(columns, replicate_stats)``: the pairs' ``TestColumns``, whose
+    detail holds each pair's critical values, seed and redraw count, and
+    their (R, n_boot) replicate statistics, NaN in the rows of NA pairs.
+    Each pair's entries are the ones its own call would give.
     """
     single = isinstance(lrv1, LrvEstimate)
-    pairs = [(lrv1, lrv2)] if single else list(zip(lrv1, lrv2))
-    seeds = [seed] if single else list(seed)
-    if not single and not len(lrv1) == len(lrv2) == len(seeds):
+    fits1, fits2, seeds = ([lrv1], [lrv2], [seed]) if single else (list(lrv1), list(lrv2), list(seed))
+    if not len(fits1) == len(fits2) == len(seeds):
         raise DomainError(
-            f"need one seed per pair, got {len(lrv1)} and {len(lrv2)} fits and {len(seeds)} seeds")
+            f"need one seed per pair, got {len(fits1)} and {len(fits2)} fits and {len(seeds)} seeds")
     if n_boot < 19:
         raise DomainError(f"need at least 19 bootstrap replicates, got {n_boot}")
     _validate_alpha(alpha)
@@ -279,53 +283,46 @@ def shar_wb_test(
     if law not in (NORMAL_INNOVATIONS, RADEMACHER_INNOVATIONS):
         raise DomainError(f"unknown innovation law {law!r}")
 
-    # per pair: (report, run), or (the error that makes it NA, None)
-    outcomes: list = [None] * len(pairs)
-    live, observed = [], []
-    for i, pair in enumerate(pairs):
+    stat, na, detail = _har_welch_statistic(fits1, fits2)
+    errors = {i: DegenerateSampleError(message) for i, message in na.items()}
+    live = [i for i in range(len(seeds)) if i not in errors]
+    streams = spawn([seeds[i] for i in live for _ in (0, 1)], [(g,) for _ in live for g in (0, 1)])
+    live_stats = _replicate_stats([(fits1[i], fits2[i]) for i in live],
+                                  _draws(list(zip(streams[::2], streams[1::2])), law), (n_boot,))
+    n_redrawn = np.zeros(len(seeds), dtype=np.int64)
+    for j in np.flatnonzero(np.isnan(live_stats).any(axis=1)).tolist():
+        i = live[j]
         try:
-            observed.append(_har_welch_statistic(*pair))
-            live.append(i)
-        except DegenerateSampleError as exc:
-            outcomes[i] = (exc, None)
-    streams = [[np.random.SeedSequence(seeds[i], spawn_key=(g,)) for g in (0, 1)] for i in live]
-    stats = _replicate_stats([pairs[i] for i in live], _draws(streams, law), (n_boot,))
-    n_redrawn = [0] * len(live)
-    for j in np.flatnonzero(np.isnan(stats).any(axis=1)):
-        try:
-            n_redrawn[j] = _redraw_degenerate(pairs[live[j]], stats[j], seeds[live[j]], law)
+            n_redrawn[i] = _redraw_degenerate((fits1[i], fits2[i]), live_stats[j], seeds[i], law)
         except DegenerateReplicatesError as exc:
-            outcomes[live[j]] = (exc, None)
+            errors[i] = exc
+    stats = np.full((len(seeds), n_boot), np.nan)
+    stats[live] = live_stats
+    ok = np.ones(len(seeds), dtype=bool)
+    ok[list(errors)] = False
+    stats[~ok] = np.nan
+    stat = np.where(ok, stat, np.nan)
 
-    t_obs = np.array([stat for stat, _ in observed])[:, None]
     sorted_stats = np.sort(stats, axis=1)
     crit_lo = _empirical_quantile(sorted_stats, alpha / 2.0)
     crit_hi = _empirical_quantile(sorted_stats, 1.0 - alpha / 2.0)
-    ecdf_at_stat = np.count_nonzero(stats <= t_obs, axis=1) / n_boot
-    p_values = 2.0 * np.minimum(ecdf_at_stat, 1.0 - ecdf_at_stat)
+    ecdf_at_stat = np.count_nonzero(stats <= stat[:, None], axis=1) / n_boot
+    p_values = np.where(ok, 2.0 * np.minimum(ecdf_at_stat, 1.0 - ecdf_at_stat), np.nan)
     stats.flags.writeable = False
-    for j, i in enumerate(live):
-        if outcomes[i] is not None:
-            continue
-        (fit1, fit2), (stat, detail) = pairs[i], observed[j]
-        facts = {"k_star1": fit1.k, "k_star2": fit2.k, "crit_lo": float(crit_lo[j]),
-                 "crit_hi": float(crit_hi[j]), "B": n_boot, "seed": seeds[i],
-                 "n_redrawn": n_redrawn[j]}
-        run = BootstrapRun(replicate_stats=stats[j], p_value=float(p_values[j]),
-                           K1=fit1.k, K2=fit2.k, **facts)
-        report = TestReport(
-            name="t1_har_boot",
-            statistic=stat,
-            reference=RefDistribution(DistKind.BOOTSTRAP_EMPIRICAL),
-            p_value=run.p_value,
-            alpha=alpha,
-            reject=stat < run.crit_lo or stat > run.crit_hi,
-            detail={**detail, "mu_pooled": _pooled_mean(fit1.sample, fit2.sample), **facts},
-        )
-        outcomes[i] = (report, run)
-    if single:
-        report, run = outcomes[0]
-        if run is None:
-            raise report
-        return report, run
-    return [str(r) if run is None else r for r, run in outcomes], [run for _, run in outcomes]
+    t1, t2 = detail["T1"], detail["T2"]
+    detail.update(
+        mu_pooled=(t1 * detail["mean1"] + t2 * detail["mean2"]) / (t1 + t2),
+        k_star1=detail["K1"], k_star2=detail["K2"], crit_lo=crit_lo, crit_hi=crit_hi,
+        B=np.full(len(seeds), n_boot), seed=seeds, n_redrawn=n_redrawn,
+    )
+    columns = TestColumns(
+        name="t1_har_boot", kind=DistKind.BOOTSTRAP_EMPIRICAL, statistic=stat, df=None,
+        p_value=p_values, alpha=alpha, reject=(stat < crit_lo) | (stat > crit_hi),
+        na={i: str(errors[i]) for i in sorted(errors)}, detail=detail,
+    )
+    if not single:
+        return columns, stats
+    if errors:
+        raise errors[0]
+    report = columns.report(0)
+    return report, BootstrapRun.of(report, stats[0])

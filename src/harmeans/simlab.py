@@ -34,9 +34,12 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateSampleError, DomainError
-from .lrv import LrvEstimate, TimeSeriesSample, series_lrv
+from .lrv import LrvEstimate, TimeSeriesSample, select_k, series_lrv
+from .seeds import spawn
 from .sharwb import BootstrapRun, shar_wb_test
-from .ttests import NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, welch_t
+from .ttests import (
+    NORMAL, T_ADJUSTED, classical_t, har_pooled_t, har_welch_t, take_p_values, welch_t,
+)
 
 NORMAL_ERRORS = "normal"
 CHISQ1_ERRORS = "chisq1"
@@ -64,21 +67,49 @@ class Evaluation:
     bootstrap: BootstrapRun | None
 
 
-def _fit_group(sample: TimeSeriesSample, requested) -> GroupFit:
-    try:
-        return GroupFit(k_note=None, lrv=series_lrv(sample, requested))
-    except DegenerateSampleError as exc:
-        # keep evaluating: K falls back to 1 and the tests that need
-        # variation come out NA
-        return GroupFit(k_note=str(exc), lrv=series_lrv(sample, 1))
+@dataclass(frozen=True, eq=False)
+class EvaluationColumns:
+    """The six tests on a sequence of pairs, as columns.
+
+    ``groups`` holds, per group, the pairs' ``GroupFit``s; ``tests`` maps
+    each name of ``TEST_COLUMNS``, in order, to its ``TestColumns``; and
+    ``replicate_stats`` is the (R, B) array of bootstrap replicate
+    statistics, NaN in the rows of pairs whose bootstrap is NA."""
+
+    groups: tuple[list, list]
+    tests: dict
+    replicate_stats: np.ndarray
+
+    def excluded(self) -> set:
+        """The pairs where any test is NA."""
+        return set().union(*(columns.na for columns in self.tests.values()))
+
+    def evaluation(self, i: int) -> Evaluation:
+        """Pair i's ``Evaluation``, its reports built from the columns."""
+        reports, na = {}, {}
+        for name, columns in self.tests.items():
+            if i in columns.na:
+                na[name] = columns.na[i]
+            else:
+                reports[name] = columns.report(i)
+        boot = reports.get("t1_har_boot")
+        return Evaluation(
+            groups=(self.groups[0][i], self.groups[1][i]),
+            reports=reports,
+            na=na,
+            bootstrap=None if boot is None else BootstrapRun.of(boot, self.replicate_stats[i]),
+        )
 
 
-def _attempt(fn, *args):
-    """fn's result, or its message when a sample is degenerate."""
-    try:
-        return fn(*args)
-    except DegenerateSampleError as exc:
-        return str(exc)
+def _fit_groups(samples, requested) -> list[GroupFit]:
+    """Each sample's series LRV with ``requested`` K, integer or "auto".
+    Where K cannot be selected, it falls back to 1 and the tests that need
+    variation come out NA."""
+    if requested == "auto":
+        ks, notes = select_k(samples)
+    else:
+        ks, notes = requested, [None] * len(samples)
+    return [GroupFit(k_note=note, lrv=fit) for note, fit in zip(notes, series_lrv(samples, ks))]
 
 
 def evaluate(
@@ -90,7 +121,7 @@ def evaluate(
     alpha: float,
     n_boot: int,
     seed: int | Sequence[int],
-) -> Evaluation | list[Evaluation]:
+) -> Evaluation | EvaluationColumns:
     """All six tests in ``TEST_COLUMNS`` order, each group fitted once.
 
     ``k1``/``k2`` are integers or "auto".  Every robust test reads the two
@@ -98,36 +129,32 @@ def evaluate(
     turn the affected tests into NA entries; a ``DomainError`` (bad K, alpha
     or n_boot) propagates.
 
-    One pair of samples and one seed give one ``Evaluation``.  Sequences
-    ``y1``, ``y2`` and ``seed``, one entry per pair, give a list of them,
-    each the one its own call would give; the pairs are bootstrapped
-    together by one ``shar_wb_test`` call.
+    Sequences ``y1``, ``y2`` and ``seed``, one entry per pair, give an
+    ``EvaluationColumns``: each test is one call on all the pairs, and the
+    pairs are bootstrapped together by one ``shar_wb_test`` call.  Each
+    pair's entries are the ones its own call would give.  One pair of
+    samples and one seed give that pair's ``Evaluation``, built from the
+    columns of a one-pair sequence.
     """
     single = isinstance(y1, TimeSeriesSample)
     if single:
         y1, y2, seed = [y1], [y2], [seed]
-    groups = [(_fit_group(a, k1), _fit_group(b, k2)) for a, b in zip(y1, y2)]
-    boot_reports, boot_runs = shar_wb_test(
-        [g1.lrv for g1, _ in groups], [g2.lrv for _, g2 in groups], alpha, n_boot, seed
+    groups = (_fit_groups(y1, k1), _fit_groups(y2, k2))
+    lrv1, lrv2 = ([fit.lrv for fit in group] for group in groups)
+    boot, replicate_stats = shar_wb_test(lrv1, lrv2, alpha, n_boot, seed)
+    analytic = take_p_values([
+        classical_t(y1, y2, alpha),
+        welch_t(y1, y2, alpha),
+        har_pooled_t(lrv1, lrv2, alpha),
+        har_welch_t(lrv1, lrv2, alpha, NORMAL),
+        har_welch_t(lrv1, lrv2, alpha, T_ADJUSTED),
+    ])
+    columns = EvaluationColumns(
+        groups=groups,
+        tests=dict(zip(TEST_COLUMNS, analytic + [boot])),
+        replicate_stats=replicate_stats,
     )
-    evaluations = []
-    for a, b, (g1, g2), boot_report, bootstrap in zip(y1, y2, groups, boot_reports, boot_runs):
-        lrv1, lrv2 = g1.lrv, g2.lrv
-        outcomes = {
-            "t0": _attempt(classical_t, a, b, alpha),
-            "t1": _attempt(welch_t, a, b, alpha),
-            "t0_har": _attempt(har_pooled_t, lrv1, lrv2, alpha),
-            "t1_har_norm": _attempt(har_welch_t, lrv1, lrv2, alpha, NORMAL),
-            "t1_har": _attempt(har_welch_t, lrv1, lrv2, alpha, T_ADJUSTED),
-            "t1_har_boot": boot_report,
-        }
-        evaluations.append(Evaluation(
-            groups=(g1, g2),
-            reports={n: r for n, r in outcomes.items() if not isinstance(r, str)},
-            na={n: r for n, r in outcomes.items() if isinstance(r, str)},
-            bootstrap=bootstrap,
-        ))
-    return evaluations[0] if single else evaluations
+    return columns.evaluation(0) if single else columns
 
 
 @dataclass(frozen=True)
@@ -252,41 +279,39 @@ _MAX_BLOCK_DOUBLES = 2**20
 _MAX_CHUNK_PAIRS = 256
 
 
+def _chunk_samples(scenario: Scenario, reps: range) -> tuple[list, list, list]:
+    """The two groups' samples and the bootstrap seeds of replications
+    ``reps``: replication r's come from ``SeedSequence(seed, spawn_key=(r,
+    j))``, j = 0, 1, 2, hashed for the whole chunk at once."""
+    seeds = spawn(scenario.seed, [(r, j) for j in range(3) for r in reps])
+    n = len(reps)
+    y1s, y2s = (
+        simulate_series(
+            size, scenario.rho, sigma, mu, scenario.error_law,
+            [np.random.Generator(np.random.PCG64(s)) for s in seeds[j * n : (j + 1) * n]],
+        )
+        for j, (size, sigma, mu) in enumerate((
+            (scenario.t1, scenario.sigma1, scenario.mu1),
+            (scenario.t2, scenario.sigma2, scenario.mu2),
+        ))
+    )
+    return y1s, y2s, [int(s.generate_state(1, np.uint64)[0]) for s in seeds[2 * n :]]
+
+
 def _tally_chunk(scenario: Scenario, reps: range, counts: dict) -> int:
     """Evaluate one chunk of replications, the indices ``reps``, add its
     reject counts to ``counts`` and return how many were excluded.
 
     Nothing of the chunk outlives the call, so memory holds one chunk."""
-    ss_y1, ss_y2, ss_boot = (
-        [np.random.SeedSequence(scenario.seed, spawn_key=(r, j)) for r in reps] for j in range(3)
-    )
-    y1s, y2s = (
-        simulate_series(
-            n, scenario.rho, sigma, mu, scenario.error_law,
-            [np.random.default_rng(ss) for ss in seeds],
-        )
-        for n, sigma, mu, seeds in (
-            (scenario.t1, scenario.sigma1, scenario.mu1, ss_y1),
-            (scenario.t2, scenario.sigma2, scenario.mu2, ss_y2),
-        )
-    )
-    results = evaluate(
-        y1s,
-        y2s,
-        k1="auto",
-        k2="auto",
-        alpha=scenario.alpha,
-        n_boot=scenario.n_boot,
-        seed=[int(ss.generate_state(1, np.uint64)[0]) for ss in ss_boot],
-    )
-    excluded = 0
-    for result in results:
-        if result.na:
-            excluded += 1
-            continue
-        for name in TEST_COLUMNS:
-            counts[name] += bool(result.reports[name].reject)
-    return excluded
+    y1s, y2s, seeds = _chunk_samples(scenario, reps)
+    result = evaluate(y1s, y2s, k1="auto", k2="auto", alpha=scenario.alpha,
+                      n_boot=scenario.n_boot, seed=seeds)
+    excluded = result.excluded()
+    kept = np.ones(len(reps), dtype=bool)
+    kept[list(excluded)] = False
+    for name, columns in result.tests.items():
+        counts[name] += int(np.count_nonzero(columns.reject & kept))
+    return len(excluded)
 
 
 def _tally_range(scenario: Scenario, reps: range, counts: dict) -> int:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from harmeans import basis
+from harmeans import basis, statdist
 from harmeans.errors import DomainError
 from harmeans.lrv import _calling_thread_blas
 
@@ -253,6 +253,91 @@ def replicate_stats(y1, y2, k1: int, k2: int, v1, v2) -> np.ndarray:
 
 # Earlier forms of package kernels, kept as byte-exact references for
 # their faster replacements.
+
+
+def _beta_contfrac(a: float, b: float, x: float) -> float:
+    """The one-element form of ``statdist._beta_contfrac`` (Lentz's method)."""
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 500):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 2.220446049250313e-16:
+            break
+    return h
+
+
+def reg_inc_beta(a: float, b: float, x: float) -> float:
+    """The one-element form of ``statdist.reg_inc_beta``, on floats."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_contfrac(a, b, x) / a
+    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+
+
+def two_sided_t_p(statistic: float, df: float) -> float:
+    """``statdist.two_sided_p`` under Student's t, on floats."""
+    x = -abs(statistic)
+    if x == 0.0:
+        return 1.0
+    return 2.0 * (0.5 * reg_inc_beta(0.5 * df, 0.5, df / (df + x * x)))
+
+
+def t_quantile_stepwise(p: float, df: float) -> float:
+    """``statdist.t_quantile`` one CDF evaluation at a time: doubling from
+    +-1 to a bracket, then bisection until no float lies inside it."""
+    upper = p > 0.5
+    near, far = 0.0, 1.0 if upper else -1.0
+    while (statdist.t_cdf(far, df) < p) == upper:
+        if abs(far) > 1e300:
+            raise DomainError(f"failed to bracket p={p}, df={df}")
+        near, far = far, 2.0 * far
+    lo, hi = (near, far) if upper else (far, near)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if statdist.t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
 
 
 def ar1_paths(n: int, rho: float, sigma: float, mu: float, v: np.ndarray) -> np.ndarray:

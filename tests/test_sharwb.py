@@ -19,7 +19,6 @@ from harmeans.sharwb import (
     BootstrapRun,
     _draw_innovations,
     _empirical_quantile,
-    _pooled_mean,
     _replicate_stats,
     shar_wb_test,
 )
@@ -162,14 +161,16 @@ class TestReplicate:
     def test_pooled_mean_balanced(self):
         y1 = sample([1.0, 2.0, 3.0, 4.0])
         y2 = sample([5.0, 6.0, 7.0, 8.0])
-        assert _pooled_mean(y1, y2) == pytest.approx((y1.mean + y2.mean) / 2.0)
+        report, _ = shar_wb_test(*fits(y1, y2, 1, 1), n_boot=19, seed=0)
+        assert report.detail["mu_pooled"] == pytest.approx((y1.mean + y2.mean) / 2.0)
 
     def test_pooled_mean_weighted(self):
         y1 = sample(np.ones(10) * 2.0 + np.arange(10) * 0.0 + [0, 1, 0, -1, 0, 1, 0, -1, 0, -1])
         y2 = sample([4.0, 5.0, 6.0, 7.0])
         t1, t2 = y1.n, y2.n
         expected = (t1 * y1.mean + t2 * y2.mean) / (t1 + t2)
-        assert _pooled_mean(y1, y2) == pytest.approx(expected, rel=1e-14)
+        report, _ = shar_wb_test(*fits(y1, y2, 1, 1), n_boot=19, seed=0)
+        assert report.detail["mu_pooled"] == pytest.approx(expected, rel=1e-14)
 
     def test_forced_zero_innovations_degenerate(self, fixed_pair):
         y1, y2 = fixed_pair
@@ -380,28 +381,33 @@ class TestSequenceForm:
         monkeypatch.setattr(sharwb_mod, "_group_moments", recording)
         # two K = 3 pairs per sub-batch at B = 199: 2 * (9 * 199 + 18) doubles
         monkeypatch.setattr(sharwb_mod, "_MAX_STACK_DOUBLES", 3618)
-        reports, runs = shar_wb_test([a for a, _ in pairs], [b for _, b in pairs],
-                                     n_boot=199, seed=self.SEEDS)
+        columns, stats = shar_wb_test([a for a, _ in pairs], [b for _, b in pairs],
+                                      n_boot=199, seed=self.SEEDS)
         assert (3, 2) in stacked and (3, 1) in stacked and max(n for _, n in stacked) == 2
-        assert len(reports) == len(runs) == len(pairs)
-        assert (reports[2], runs[2]) == ("both long-run variances are zero", None)
+        assert stats.shape == (len(pairs), 199) and not stats.flags.writeable
+        assert len(columns.statistic) == len(columns.reject) == len(pairs)
+        assert columns.na[2] == "both long-run variances are zero"
+        assert np.isnan(stats[2]).all() and not columns.reject[2]
         with pytest.raises(DegenerateSampleError, match="^both long-run variances are zero$"):
             shar_wb_test(*pairs[2], n_boot=199, seed=self.SEEDS[2])
         for i in (0, 1, 3, 4, 5):
             if i == 4 and redraws_fail:
                 with pytest.raises(DegenerateReplicatesError) as exc:
                     shar_wb_test(*pairs[i], n_boot=199, seed=self.SEEDS[i])
-                assert (reports[i], runs[i]) == (str(exc.value), None)
+                assert columns.na[i] == str(exc.value)
+                assert np.isnan(stats[i]).all() and not columns.reject[i]
                 continue
+            assert i not in columns.na
             report, run = shar_wb_test(*pairs[i], n_boot=199, seed=self.SEEDS[i])
-            assert (reports[i].reject, runs[i].n_redrawn) == (report.reject, run.n_redrawn)
-            assert runs[i].n_redrawn == (1 if i == 4 else 0)
-            assert reports[i].statistic == report.statistic
-            got, want = runs[i].replicate_stats, run.replicate_stats
-            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
-            for name in ("p_value", "crit_lo", "crit_hi"):
-                assert getattr(runs[i], name) == pytest.approx(getattr(run, name), rel=1e-10)
-            assert reports[i].detail == pytest.approx(report.detail, rel=1e-10)
+            got = columns.report(i)
+            assert (got.reject, got.detail["n_redrawn"]) == (report.reject, run.n_redrawn)
+            assert run.n_redrawn == (1 if i == 4 else 0)
+            assert got.statistic == report.statistic
+            assert np.all(np.abs(stats[i] - run.replicate_stats) <= 1e-10 * np.abs(run.replicate_stats))
+            for name in ("crit_lo", "crit_hi"):
+                assert got.detail[name] == pytest.approx(getattr(run, name), rel=1e-10)
+            assert got.p_value == pytest.approx(run.p_value, rel=1e-10)
+            assert got.detail == pytest.approx(report.detail, rel=1e-10)
 
     def test_one_seed_per_pair(self, fixed_pair):
         pair = fits(*fixed_pair)
@@ -409,7 +415,8 @@ class TestSequenceForm:
             shar_wb_test([pair[0]] * 2, [pair[1]] * 2, n_boot=99, seed=[1])
         with pytest.raises(DomainError, match="seed must be >= 0"):
             shar_wb_test([pair[0]] * 2, [pair[1]] * 2, n_boot=99, seed=[1, -1])
-        assert shar_wb_test([], [], n_boot=99, seed=[]) == ([], [])
+        columns, stats = shar_wb_test([], [], n_boot=99, seed=[])
+        assert (columns.statistic.shape, columns.na, stats.shape) == ((0,), {}, (0, 99))
 
 
 class TestReplicateKernel:

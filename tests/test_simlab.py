@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,24 +128,32 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(("k1", "k2"), [("auto", "auto"), (3, 5)])
     def test_analytic_tests_reuse_the_group_lrvs(self, monkeypatch, k1, k2):
-        calls = {"series_lrv": 0, "har_welch_t": 0, "two_sided_p": 0}
+        calls = {"series_lrv": [], "har_welch_t": [], "two_sided_p": []}
         for module in (simlab_mod, sharwb_mod, ttests_mod):
             for name in calls:
                 original = getattr(module, name, None)
                 if original is None:
                     continue
 
-                def counting(*args, _name=name, _original=original):
-                    calls[_name] += 1
-                    return _original(*args)
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls[_name].append(np.size(args[0]))
+                    return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counting)
         y1, y2 = wfh_pair()
         result = evaluate(y1, y2, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=3)
         assert result.na == {}
-        # one LRV per group, which every robust test reads; shar_wb_test
-        # shares har_welch_t's statistic without a report or p-value of its own
-        assert calls == {"series_lrv": 2, "har_welch_t": 2, "two_sided_p": 5}
+        # one LRV call per group, on all its samples, which every robust test
+        # reads; shar_wb_test shares har_welch_t's statistic without a
+        # p-value of its own; the analytic p-values take one call per
+        # reference kind: Student's t for four tests, N(0, 1) for one
+        assert calls == {"series_lrv": [1, 1], "har_welch_t": [1, 1], "two_sided_p": [4, 1]}
+        # the same calls for three pairs, each on all of them
+        for made in calls.values():
+            made.clear()
+        result = evaluate([y1] * 3, [y2] * 3, k1=k1, k2=k2, alpha=0.05, n_boot=49, seed=[3] * 3)
+        assert result.excluded() == set()
+        assert calls == {"series_lrv": [3, 3], "har_welch_t": [3, 3], "two_sided_p": [12, 3]}
 
     def test_variance_taken_once_per_group(self, monkeypatch):
         # with explicit K no AR(1) plug-in runs, so every residual product
@@ -191,12 +199,20 @@ class TestEvaluate:
         # two K = 3 pairs per sub-batch at B = 49: 2 * (9 * 49 + 18) doubles
         monkeypatch.setattr(sharwb_mod, "_MAX_STACK_DOUBLES", 918)
         kw = {"k1": 3, "k2": "auto", "alpha": 0.05, "n_boot": 49}
-        results = evaluate(y1s, y2s, seed=seeds, **kw)
-        assert len(results) == 5
+        columns = evaluate(y1s, y2s, seed=seeds, **kw)
+        assert list(columns.tests) == list(TEST_COLUMNS)
+        assert columns.excluded() == {2}
+        for name, test in columns.tests.items():
+            assert set(test.na) == {2} and not test.reject[2], name
+        assert columns.replicate_stats.shape == (5, 49)
+        assert np.isnan(columns.replicate_stats[2]).all()
+        results = [columns.evaluation(i) for i in range(5)]
         assert set(results[2].na) == set(TEST_COLUMNS) and results[2].bootstrap is None
         assert len({fit.lrv.k for _, fit in (r.groups for r in results)}) > 2
-        for y1, y2, seed, got in zip(y1s, y2s, seeds, results):
+        for i, (y1, y2, seed, got) in enumerate(zip(y1s, y2s, seeds, results)):
             want = evaluate(y1, y2, seed=seed, **kw)
+            for name, report in want.reports.items():
+                assert columns.tests[name].reject[i] == report.reject, name
             assert got.na == want.na
             assert [(f.lrv.k, f.k_note) for f in got.groups] == [
                 (f.lrv.k, f.k_note) for f in want.groups]
@@ -337,6 +353,11 @@ class TestRunCell:
         assert res1.rejection_rates == res2.rejection_rates
         assert res1.reject_counts == res2.reject_counts
         assert res1 == res2
+
+    def test_numpy_integer_seed(self, one_process):
+        # a seed taken from a numpy array, as a loop over np.arange gives it
+        sc = Scenario(t1=40, t2=36, rho=0.3, seed=11, **FAST)
+        assert run_cell(replace(sc, seed=np.int64(11))) == run_cell(sc)
 
     def test_no_exclusions_under_normal_errors(self):
         res = run_cell(Scenario(t1=30, t2=30, rho=0.5, seed=5, **FAST))
@@ -798,3 +819,122 @@ class TestRunTable:
             cols = line.split("\t")
             rates = [float(c) for c in cols[5:11]]
             assert all(0.0 <= r <= 100.0 for r in rates)
+
+
+def lab_groups(scenario, chunk=256):
+    """Every replication's two samples, as the lab simulates them, a chunk
+    at a time."""
+    for lo in range(0, scenario.n_mc, chunk):
+        y1s, y2s, _ = simlab_mod._chunk_samples(scenario, range(lo, min(lo + chunk, scenario.n_mc)))
+        yield y1s
+        yield y2s
+
+
+def one_sample_ks(samples) -> list:
+    return [lrv_mod.select_k(y).k_hat for y in samples]
+
+
+class TestColumnarK:
+    """select_k on a chunk's samples against the one-sample rule."""
+
+    @pytest.mark.parametrize("cell", BENCH_CELLS, ids=("c1", "c2", "c3", "c4a", "c4b"))
+    def test_acceptance_cells(self, cell):
+        # every replication of the acceptance suite's cells (seed 1234)
+        for samples in lab_groups(Scenario(seed=1234, n_mc=2000, n_boot=199, **cell)):
+            ks, notes = lrv_mod.select_k(samples)
+            assert ks.tolist() == one_sample_ks(samples)
+            assert notes == [None] * len(samples)
+
+    @pytest.mark.parametrize("name", simlab_mod.PRESET_NAMES)
+    def test_presets(self, name):
+        for scenario in preset_scenarios(name, n_mc=40, n_boot=19):
+            for samples in lab_groups(scenario):
+                assert lrv_mod.select_k(samples)[0].tolist() == one_sample_ks(samples)
+
+    def test_near_integer_and_degenerate_rows_take_the_one_sample_rule(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        samples = simulate_series(120, 0.5, 1.0, 0.0, "normal", [rng] * 30)
+        flat = TimeSeriesSample.from_values([3.0] * 120)
+        # at 2^-538 the innovation variance underflows to zero
+        tiny = TimeSeriesSample.from_values(np.ldexp(rng.standard_normal(120), -538))
+        samples[4], samples[9] = flat, tiny
+        one_sample = []
+        original = lrv_mod.select_k
+
+        def recording(sample):
+            if isinstance(sample, TimeSeriesSample):
+                one_sample.append(sample)
+            return original(sample)
+
+        monkeypatch.setattr(lrv_mod, "select_k", recording)
+        ks, notes = lrv_mod.select_k(samples)
+        assert [i for i, note in enumerate(notes) if note] == [4, 9]
+        assert notes[4] == "residuals carry no variation"
+        assert notes[9] == "AR(1) innovations carry no variation"
+        assert ks[4] == ks[9] == 1
+        assert one_sample == [flat, tiny]
+        rest = [y for i, y in enumerate(samples) if i not in (4, 9)]
+        assert [k for i, k in enumerate(ks) if i not in (4, 9)] == one_sample_ks(rest)
+        # a curvature whose raw K is 10 up to rounding puts every row in reach
+        # of the ceiling, so each takes the one-sample rule
+        scale = (0.42293 * 120 ** (2.0 / 3.0) / 10.0) ** 3
+        monkeypatch.setattr(lrv_mod, "_curvature_b", lambda a, sigma: scale * sigma)
+        one_sample.clear()
+        ks, _ = lrv_mod.select_k(rest)
+        assert one_sample == rest
+        assert set(ks.tolist()) <= {10, 11} and ks.tolist() == one_sample_ks(rest)
+
+    def test_errors_of_a_one_sample_call_propagate(self):
+        # a short ramp whose sigma_hat overflows, and a sample shorter than 4
+        r = np.arange(10.0) - 4.5
+        ramp = TimeSeriesSample.from_values(r * math.sqrt(0.5 * np.finfo(float).max / r.dot(r)))
+        rng = np.random.default_rng(2)
+        others = simulate_series(10, 0.0, 1.0, 0.0, "normal", [rng] * 3)
+        with pytest.raises(DomainError, match="sample values too large"):
+            lrv_mod.select_k([*others, ramp])
+        with pytest.raises(DomainError, match="T >= 4"):
+            lrv_mod.select_k([*others, TimeSeriesSample.from_values([1.0, 2.0, 4.0])])
+
+    def test_rebound_curvature_changes_the_labs_k(self, monkeypatch, one_process):
+        # scripts/compare_k_calibrations.py rebinds lrv._curvature_b
+        spec = importlib.util.spec_from_file_location("calibrations", CALIBRATIONS)
+        calibrations = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(calibrations)
+        seen = []
+        original = simlab_mod.select_k
+
+        def recording(samples):
+            ks, notes = original(samples)
+            seen.append(ks.tolist())
+            return ks, notes
+
+        monkeypatch.setattr(simlab_mod, "select_k", recording)
+        scenario = Scenario(t1=200, t2=200, rho=0.8, seed=2, n_mc=20, n_boot=19)
+        run_cell(scenario)
+        quartic, seen[:] = list(seen), []
+        monkeypatch.setattr(lrv_mod, "_curvature_b", calibrations.spectral)
+        run_cell(scenario)
+        assert seen != quartic
+        assert sum(map(sum, seen)) > sum(map(sum, quartic))  # the spectral rule takes more
+        y1s, y2s, _ = simlab_mod._chunk_samples(scenario, range(20))
+        assert seen == [one_sample_ks(y1s), one_sample_ks(y2s)]
+
+
+def test_chunk_reject_bits_equal_one_pair_reports(monkeypatch, fresh_workers):
+    # replications 0-15 run in the calling process and 16-31 in a worker;
+    # each one's decisions are those of its own one-pair evaluate call
+    monkeypatch.setattr(simlab_mod, "_cpu_count", lambda: 2)
+    scenario = Scenario(t1=40, t2=36, rho=0.5, seed=4, n_mc=32, n_boot=29)
+    counts = dict.fromkeys(TEST_COLUMNS, 0)
+    for reps in (range(0, 16), range(16, 32)):
+        y1s, y2s, seeds = simlab_mod._chunk_samples(scenario, reps)
+        columns = evaluate(y1s, y2s, k1="auto", k2="auto", alpha=0.05, n_boot=29, seed=seeds)
+        for i, (y1, y2, seed) in enumerate(zip(y1s, y2s, seeds)):
+            one = evaluate(y1, y2, k1="auto", k2="auto", alpha=0.05, n_boot=29, seed=seed)
+            assert one.na == {}
+            for name, report in one.reports.items():
+                assert columns.tests[name].reject[i] == report.reject, (reps[i], name)
+                assert columns.tests[name].p_value[i] == report.p_value, (reps[i], name)
+                counts[name] += report.reject
+    assert run_cell(scenario).reject_counts == counts
+    assert len(simlab_mod._workers) == 1

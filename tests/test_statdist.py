@@ -129,6 +129,13 @@ class TestTQuantile:
             qs = [t_quantile(float(p), df) for p in ps]
             assert all(b > a for a, b in zip(qs, qs[1:]))
 
+    @pytest.mark.parametrize("df", [0.5, 0.8, 4.0, 37.0, 1e6])
+    def test_equals_stepwise_bisection(self, df):
+        # the CDF is evaluated many midpoints at a time; the steps read off
+        # the same values, so the quantile is the one-step-at-a-time one
+        for p in (1e-17, 1e-6, 0.001, 0.025, 0.3, 0.5 + 1e-12, 0.9, 0.975, 1.0 - 1e-12):
+            assert t_quantile(p, df) == oracles.t_quantile_stepwise(p, df), p
+
     @pytest.mark.parametrize("p", [1e-17, 1e-15])
     def test_far_lower_tail_keeps_p(self, p):
         # 1 - p rounds at these p, so the lower tail is bisected on p itself
@@ -247,3 +254,45 @@ class TestRefDistribution:
         # the value of the incomplete-gamma route, 0.0 from 1 - F(9)
         p = two_sided_p(9.0, RefDistribution(DistKind.STANDARD_NORMAL))
         assert p == pytest.approx(2.257176811907685e-19, rel=1e-12, abs=0.0)
+
+
+class TestArrayKernel:
+    """The incomplete beta over arrays against its one-element form, byte for byte."""
+
+    @staticmethod
+    def grid():
+        rng = np.random.default_rng(27)
+        df = np.exp(rng.uniform(np.log(0.5), np.log(1e6), 600))
+        df[:4] = (0.5, 1.0, 30.0, 1e6)
+        a, b = 0.5 * df, np.full(df.size, 0.5)
+        x = rng.uniform(0.0, 1.0, df.size)
+        x[:200] = (a[:200] + 1.0) / (a[:200] + b[:200] + 2.0)  # the symmetry switch
+        x[200:210], x[210:220] = 0.0, 1.0
+        x[220:260] = np.nextafter((a[220:260] + 1.0) / (a[220:260] + 2.5), 0.0)
+        return a, b, x
+
+    def test_incomplete_beta_bytes(self):
+        a, b, x = self.grid()
+        for args in ((a, b, x), (b, a, x)):
+            got = reg_inc_beta(*args)
+            want = np.array([oracles.reg_inc_beta(*v) for v in zip(*(v.tolist() for v in args))])
+            assert got.tobytes() == want.tobytes()
+
+    def test_two_sided_p_bytes(self):
+        rng = np.random.default_rng(9)
+        df = np.exp(rng.uniform(np.log(0.5), np.log(1e6), 2000))
+        t = rng.standard_normal(df.size) * np.exp(rng.uniform(-3.0, 3.0, df.size))
+        t[:5] = 0.0
+        want = [oracles.two_sided_t_p(s, d) for s, d in zip(t.tolist(), df.tolist())]
+        assert two_sided_p(t, df).tobytes() == np.array(want).tobytes()
+        # one element at a time, as a float
+        for s, d, p in zip(t[:50].tolist(), df[:50].tolist(), want):
+            assert two_sided_p(s, RefDistribution(DistKind.STUDENT_T, df=d)) == p
+
+    def test_empty_and_broadcast(self):
+        assert reg_inc_beta(np.array([]), 0.5, np.array([])).shape == (0,)
+        got = t_cdf(np.array([[-1.0], [2.0]]), np.array([3.0, 30.0]))
+        assert got.shape == (2, 2)
+        assert got[1, 0] == t_cdf(2.0, 3.0) and got[0, 1] == t_cdf(-1.0, 30.0)
+        assert normal_cdf(np.array([-1.0, 0.0, 2.0])).tolist() == [
+            normal_cdf(-1.0), 0.5, normal_cdf(2.0)]

@@ -17,6 +17,7 @@ from harmeans.ttests import (
     har_pooled_t,
     har_welch_t,
     k_adf,
+    take_p_values,
     welch_t,
 )
 
@@ -296,3 +297,30 @@ class TestSharedInvariants:
             crit = t_quantile(1.0 - 0.1 / 2.0, rep.reference.df)
             assert rep.reject == (abs(rep.statistic) > crit)
             assert 0.0 < rep.p_value <= 1.0
+
+
+class TestSequenceForm:
+    def test_columns_equal_one_call_per_pair(self):
+        # pair 1 is constant, so every test is NA there
+        rng = np.random.default_rng(17)
+        y1s = [sample(rng.standard_normal(30) + 0.4), sample([1.0] * 12), sample(rng.standard_normal(9))]
+        y2s = [sample(rng.standard_normal(44)), sample([1.0] * 20), sample(2.0 * rng.standard_normal(61))]
+        f1s, f2s = [series_lrv(y, 2) for y in y1s], [series_lrv(y, 2) for y in y2s]
+        calls = [
+            (classical_t, y1s, y2s, ()),
+            (welch_t, y1s, y2s, ()),
+            (har_pooled_t, f1s, f2s, ()),
+            (har_welch_t, f1s, f2s, (0.05, NORMAL)),
+            (har_welch_t, f1s, f2s, (0.05, T_ADJUSTED)),
+        ]
+        taken = [test(a, b, *args) for test, a, b, args in calls]
+        for columns in taken:
+            assert columns.p_value is None and columns.reject is None
+            with pytest.raises(DomainError, match="take_p_values"):
+                columns.report(0)
+        for columns, (test, a, b, args) in zip(take_p_values(taken), calls):
+            assert set(columns.na) == {1} and np.isnan(columns.p_value[1]) and not columns.reject[1]
+            with pytest.raises(DegenerateSampleError, match=columns.na[1]):
+                test(a[1], b[1], *args)
+            for i in (0, 2):
+                assert columns.report(i) == test(a[i], b[i], *args), (columns.name, i)
