@@ -12,7 +12,10 @@ rule built on an AR(1) plug-in,
     K_hat = ceil(0.42293 * |B_bar|^(-1/3) * T^(2/3)),
 
 clamped to [1, floor(T/2)] because frequencies above T/2 alias on the
-evaluation grid.
+evaluation grid.  The plug-in and the rule are written once, over an (R, T)
+block of residuals (``_k_rule``); one sample is a one-row block.  Their
+powers are the C library's, taken per element (``statdist._pow``), so a
+sample's K_hat is the same in any block.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import basis
 from .errors import DegenerateSampleError, DomainError
-from .statdist import chisq_sf
+from .statdist import _pow, chisq_sf
 
 _A_HAT_CAP = 0.97  # |AR(1) plug-in| cap; (1-A)^(-4) explodes near a unit root
 
@@ -173,34 +176,50 @@ class KSelection:
     clamped: bool
 
 
-def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:
-    """AR(1) plug-in pair (a_hat, sigma_hat) from the sample's residuals.
+def _plugin(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AR(1) plug-in (a_hat, sigma_hat) of each row of an (R, T) residual
+    block, and per row None or the message of the ``DegenerateSampleError``
+    the row raises alone.
 
     a_hat is the lag-1 regression coefficient
     sum_{t=2}^{T} u_t u_{t-1} / sum_{t=1}^{T-1} u_t^2, clamped to
     [-0.97, 0.97] before sigma_hat = (1-a)^{-2} (T-1)^{-1}
-    sum_{t=2}^{T} (u_t - a u_{t-1})^2 is formed.
+    sum_{t=2}^{T} (u_t - a u_{t-1})^2 is formed.  The sums are the rows'
+    dot products and the power is the C library's, so a row's values are
+    those a lone row gets.
     """
-    u = sample.residuals
-    if sample.n < 4:
-        raise DomainError(f"AR(1) plug-in needs T >= 4, got T={sample.n}")
-    with _calling_thread_blas():
-        denom = float(u[:-1].dot(u[:-1]))
-        if denom <= 0.0:
-            raise DegenerateSampleError("residuals carry no variation")
-        a_hat = float(u[1:].dot(u[:-1])) / denom
-        a_hat = min(max(a_hat, -_A_HAT_CAP), _A_HAT_CAP)
-        innov = u[1:] - a_hat * u[:-1]
-        sigma_hat = float(innov.dot(innov)) / (sample.n - 1) / (1.0 - a_hat) ** 2
-    if not sigma_hat > 0.0:
-        raise DegenerateSampleError("AR(1) innovations carry no variation")
-    if sigma_hat == math.inf:
+    n = u.shape[1]
+    if n < 4:
+        raise DomainError(f"AR(1) plug-in needs T >= 4, got T={n}")
+    lag = u[:, :-1]
+    with _calling_thread_blas(), np.errstate(all="ignore"):
+        denom = np.vecdot(lag, lag)
+        a_hat = np.clip(np.vecdot(u[:, 1:], lag) / denom, -_A_HAT_CAP, _A_HAT_CAP)
+        innov = u[:, 1:] - a_hat[:, None] * lag
+        sigma_hat = np.vecdot(innov, innov) / (n - 1) / _pow(1.0 - a_hat, 2)
+    if ((denom > 0.0) & (sigma_hat == math.inf)).any():
         raise DomainError("sample values too large: AR(1) innovation variance is not finite")
-    return a_hat, sigma_hat
+    notes = np.where(
+        denom > 0.0,
+        np.where(sigma_hat > 0.0, None, "AR(1) innovations carry no variation"),
+        "residuals carry no variation",
+    )
+    return a_hat, sigma_hat, notes
 
 
-def _curvature_b(a: float, sigma: float) -> float:
-    """Second-order curvature constant of the AR(1) spectral plug-in.
+def ar1_plugin(sample: TimeSeriesSample) -> tuple[float, float]:
+    """AR(1) plug-in pair (a_hat, sigma_hat) from the sample's residuals
+    (see ``_plugin``)."""
+    a_hat, sigma_hat, notes = _plugin(sample.residuals[None])
+    if notes[0] is not None:
+        raise DegenerateSampleError(notes[0])
+    return float(a_hat[0]), float(sigma_hat[0])
+
+
+def _curvature_b(a, sigma):
+    """Second-order curvature constant of the AR(1) spectral plug-in, per
+    element of the arrays (or floats) a and sigma; its power is the C
+    library's (``statdist._pow``).
 
     Written out term by term exactly as the matrix formula specializes to
     the scalar case; the algebraic collapse -(pi^2/3) * a * sigma / (1-a)^4
@@ -215,8 +234,29 @@ def _curvature_b(a: float, sigma: float) -> float:
         + a * sigma * a * a
         + sigma * a
     )
-    shrink = (1.0 - a) ** -3
+    shrink = _pow(1.0 - a, -3)
     return -(math.pi**2 / 6.0) * shrink * bracket * shrink
+
+
+def _k_rule(u: np.ndarray) -> tuple:
+    """(k_hat, a_hat, sigma_hat, b_bar, clamped, notes), arrays over the
+    rows of an (R, T) residual block: ``select_k`` on each row.  A
+    degenerate row has K_hat 1 and its note (see ``_plugin``).
+    ``_curvature_b`` is read when called, so a rebound rule applies."""
+    a_hat, sigma_hat, notes = _plugin(u)
+    n = u.shape[1]
+    degenerate = notes.astype(bool)
+    with np.errstate(all="ignore"):
+        b_bar = _curvature_b(a_hat, sigma_hat) / sigma_hat
+        flat = b_bar == 0.0  # the raw rule diverges
+        # 0.0 ** -x raises, and a degenerate row's B_bar is NaN
+        base = np.where(flat | degenerate, 1.0, np.abs(b_bar))
+        raw = np.ceil(0.42293 * _pow(base, -1.0 / 3.0) * n ** (2.0 / 3.0))
+    if np.isnan(raw).any():
+        raise DomainError("sample values too large: AR(1) curvature is not finite")
+    k_hat = np.where(flat, n // 2, np.clip(raw, 1, n // 2))
+    clamped = flat | (k_hat != raw) | (np.abs(a_hat) == _A_HAT_CAP)
+    return np.where(degenerate, 1, k_hat).astype(np.int64), a_hat, sigma_hat, b_bar, clamped, notes
 
 
 def select_k(sample):
@@ -230,73 +270,22 @@ def select_k(sample):
     A sequence of samples gives ``(k_hat, notes)``: an integer array with
     each sample's K_hat, and a list with, per sample, None or the message of
     the ``DegenerateSampleError`` its own call raises, where K_hat is 1.
-    The rule runs on each length's (R, T) block of residuals at once (see
-    ``_block_k``); every K_hat is the one its own call gives.
+    The rule runs once on each length's (R, T) block of residuals, as one
+    sample runs it on its one-row block, so each K_hat is the one its own
+    call gives.
     """
-    if not isinstance(sample, TimeSeriesSample):
-        return _select_ks(sample)
-    a_hat, sigma_hat = ar1_plugin(sample)
-    b_hat = _curvature_b(a_hat, sigma_hat)
-    b_bar = b_hat / sigma_hat
-    t = sample.n
-    k_cap = sample.max_k
-    clamped = False
-    if b_bar == 0.0:
-        k_hat = k_cap
-        clamped = True
-    else:
-        raw = 0.42293 * abs(b_bar) ** (-1.0 / 3.0) * t ** (2.0 / 3.0)
-        k_hat = int(math.ceil(raw))
-        if k_hat < 1:
-            k_hat = 1
-            clamped = True
-        elif k_hat > k_cap:
-            k_hat = k_cap
-            clamped = True
-    if abs(a_hat) == _A_HAT_CAP:
-        clamped = True
-    return KSelection(
-        k_hat=k_hat, a_hat=a_hat, sigma_hat=sigma_hat, b_bar=b_bar, clamped=clamped
-    )
-
-
-# Relative distance from an integer within which a raw K taken on a block is
-# recomputed by the one-sample rule: numpy's power may round differently
-# from the C library's, by far less than this.
-_K_INTEGER_TOL = 1e-9
-# Bounds of a block's sigma_hat outside which the one-sample rule, which may
-# find the sample degenerate or too large, is taken instead.
-_SIGMA_RANGE = (1e-300, 1e300)
-
-
-def _block_k(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``select_k``'s K_hat for each row of an (R, T) block of residuals,
-    and a mask of the rows whose K_hat the one-sample rule must give.
-
-    The plug-in's sums are the rows' dot products, the same sums as
-    ``ar1_plugin`` takes; its powers are numpy's.  A row is masked where
-    the rule could round otherwise or raise: a raw K within _K_INTEGER_TOL
-    (relative) of an integer, B_bar = 0, or a plug-in that is degenerate or
-    outside _SIGMA_RANGE.  ``_curvature_b`` is read when called, so a
-    rebound rule applies here too."""
-    n = u.shape[1]
-    lag = u[:, :-1]
-    with _calling_thread_blas(), np.errstate(all="ignore"):
-        denom = np.vecdot(lag, lag)
-        a_hat = np.clip(np.vecdot(u[:, 1:], lag) / denom, -_A_HAT_CAP, _A_HAT_CAP)
-        innov = u[:, 1:] - a_hat[:, None] * lag
-        sigma_hat = np.vecdot(innov, innov) / (n - 1) / (1.0 - a_hat) ** 2
-        b_bar = _curvature_b(a_hat, sigma_hat) / sigma_hat
-        raw = 0.42293 * np.abs(b_bar) ** (-1.0 / 3.0) * n ** (2.0 / 3.0)
-        k_hat = np.clip(np.ceil(raw), 1, n // 2)
-        scalar = ~(
-            (denom > 0.0)
-            & (sigma_hat > _SIGMA_RANGE[0])
-            & (sigma_hat < _SIGMA_RANGE[1])
-            & (b_bar != 0.0)
-            & (np.abs(raw - np.rint(raw)) > _K_INTEGER_TOL * raw)
-        )
-    return np.where(scalar, 0, k_hat).astype(np.int64), scalar
+    if isinstance(sample, TimeSeriesSample):
+        k_hat, a_hat, sigma_hat, b_bar, clamped, notes = _k_rule(sample.residuals[None])
+        if notes[0] is not None:
+            raise DegenerateSampleError(notes[0])
+        return KSelection(k_hat=int(k_hat[0]), a_hat=float(a_hat[0]),
+                          sigma_hat=float(sigma_hat[0]), b_bar=float(b_bar[0]),
+                          clamped=bool(clamped[0]))
+    k_hat = np.empty(len(sample), dtype=np.int64)
+    notes = np.empty(len(sample), dtype=object)
+    for idx in _by_length(sample).values():
+        k_hat[idx], *_, notes[idx] = _k_rule(np.stack([sample[i].residuals for i in idx]))
+    return k_hat, notes.tolist()
 
 
 def _by_length(samples) -> dict:
@@ -305,24 +294,6 @@ def _by_length(samples) -> dict:
     for i, sample in enumerate(samples):
         out.setdefault(sample.n, []).append(i)
     return out
-
-
-def _select_ks(samples) -> tuple[np.ndarray, list]:
-    """``select_k`` on a sequence of samples: one ``_block_k`` per length,
-    and the one-sample rule on the rows it masks."""
-    k_hat = np.empty(len(samples), dtype=np.int64)
-    notes = [None] * len(samples)
-    for n, idx in _by_length(samples).items():
-        if n < 4:
-            raise DomainError(f"AR(1) plug-in needs T >= 4, got T={n}")
-        block, scalar = _block_k(np.stack([samples[i].residuals for i in idx]))
-        for j in np.flatnonzero(scalar).tolist():
-            try:
-                block[j] = select_k(samples[idx[j]]).k_hat
-            except DegenerateSampleError as exc:
-                block[j], notes[idx[j]] = 1, str(exc)
-        k_hat[idx] = block
-    return k_hat, notes
 
 
 def _estimates(samples, ks) -> list[LrvEstimate]:

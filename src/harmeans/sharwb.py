@@ -219,7 +219,7 @@ def _redraw_degenerate(pair, stats: np.ndarray, seed: int, law: str) -> int:
     """Replace each NaN in one pair's replicate statistics by redrawing it
     from the pair's redraw streams, the children of spawn key (2,) of its
     seed, one replicate at a time; returns the number of redraws."""
-    draw = _draws([[np.random.SeedSequence(seed, spawn_key=(2, g)) for g in (0, 1)]], law)
+    draw = _draws([spawn(seed, [(2, 0), (2, 1)])], law)
     n_redrawn = 0
     for idx in np.flatnonzero(np.isnan(stats)):
         for _ in range(_MAX_CONSECUTIVE_REDRAWS):

@@ -87,6 +87,13 @@ def _each(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
 
 
+def _pow(values, exponent: float) -> np.ndarray:
+    """values ** exponent per element as the C library's pow rounds it,
+    which may differ in the last bit from numpy's power; 0-d for a scalar."""
+    values = np.asarray(values, dtype=np.float64)
+    return _each(lambda v: v**exponent, values.ravel()).reshape(values.shape)
+
+
 def _result(values: np.ndarray):
     """A float for a 0-d result, the array otherwise."""
     return float(values) if values.ndim == 0 else values

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
 from .lrv import LrvEstimate, TimeSeriesSample
-from .statdist import DistKind, RefDistribution, _result, two_sided_p
+from .statdist import DistKind, RefDistribution, _pow, _result, two_sided_p
 
 NORMAL = "normal"
 T_ADJUSTED = "t-adjusted"
@@ -105,13 +105,6 @@ def _unit_scale(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bytes, and the squares can neither overflow nor underflow to zero."""
     exp = np.frexp(np.maximum(a, b))[1]
     return np.ldexp(a, -exp), np.ldexp(b, -exp)
-
-
-def _libm_square(values: np.ndarray) -> np.ndarray:
-    """values ** 2 per element as the C library's pow rounds it, which may
-    differ in the last bit from numpy's square."""
-    squares = np.fromiter((v**2 for v in values.ravel().tolist()), np.float64, values.size)
-    return squares.reshape(values.shape)
 
 
 def _na(*conditions) -> dict:
@@ -227,7 +220,7 @@ def welch_t(y1, y2, alpha: float = 0.05):
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = (detail["mean1"] - detail["mean2"]) / np.sqrt(v1 + v2)
         v1, v2 = _unit_scale(v1, v2)
-        df = _libm_square(v1 + v2) / (v1 * v1 / (t1 - 1) + v2 * v2 / (t2 - 1))
+        df = _pow(v1 + v2, 2) / (v1 * v1 / (t1 - 1) + v2 * v2 / (t2 - 1))
     detail.update(var1=s1_sq, var2=s2_sq, df=df)
     return _columns("t1", stat, df, alpha, na, detail, single)
 
@@ -274,7 +267,7 @@ def k_adf(omega1, omega2, t1, t2, k1, k2):
     omega1, omega2 = _unit_scale(omega1, omega2)
     rho = t2 / t1
     sr = np.sqrt(rho)
-    num = _libm_square(sr * omega1 + omega2 / sr)
+    num = _pow(sr * omega1 + omega2 / sr, 2)
     den = rho * omega1 * omega1 / k1 + omega2 * omega2 / (rho * k2)
     return _result(num / den)
 

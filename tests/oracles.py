@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from harmeans import basis, statdist
-from harmeans.errors import DomainError
-from harmeans.lrv import _calling_thread_blas
+from harmeans.errors import DegenerateSampleError, DomainError
+from harmeans.lrv import KSelection, _calling_thread_blas
 
 # tanh-sinh rule on (-1, 1): x = tanh((pi/2) sinh(u)).  Nodes are stored as
 # distances from the endpoints (1 - |x| computed stably), so no node ever
@@ -338,6 +338,66 @@ def t_quantile_stepwise(p: float, df: float) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def ar1_plugin(sample) -> tuple[float, float]:
+    """``lrv.ar1_plugin`` on one sample, in Python floats."""
+    u = sample.residuals
+    if sample.n < 4:
+        raise DomainError(f"AR(1) plug-in needs T >= 4, got T={sample.n}")
+    with _calling_thread_blas():
+        denom = float(u[:-1].dot(u[:-1]))
+        if denom <= 0.0:
+            raise DegenerateSampleError("residuals carry no variation")
+        a_hat = float(u[1:].dot(u[:-1])) / denom
+        a_hat = min(max(a_hat, -0.97), 0.97)
+        innov = u[1:] - a_hat * u[:-1]
+        sigma_hat = float(innov.dot(innov)) / (sample.n - 1) / (1.0 - a_hat) ** 2
+    if not sigma_hat > 0.0:
+        raise DegenerateSampleError("AR(1) innovations carry no variation")
+    if sigma_hat == math.inf:
+        raise DomainError("sample values too large: AR(1) innovation variance is not finite")
+    return a_hat, sigma_hat
+
+
+def curvature_b(a: float, sigma: float) -> float:
+    """``lrv._curvature_b`` on floats."""
+    bracket = (
+        a * sigma
+        + a * a * sigma * a
+        + a * a * sigma
+        - 6.0 * a * sigma * a
+        + sigma * a * a
+        + a * sigma * a * a
+        + sigma * a
+    )
+    shrink = (1.0 - a) ** -3
+    return -(math.pi**2 / 6.0) * shrink * bracket * shrink
+
+
+def select_k(sample) -> KSelection:
+    """``lrv.select_k`` on one sample, in Python floats."""
+    a_hat, sigma_hat = ar1_plugin(sample)
+    b_bar = curvature_b(a_hat, sigma_hat) / sigma_hat
+    k_cap = sample.max_k
+    clamped = False
+    if b_bar == 0.0:
+        k_hat = k_cap
+        clamped = True
+    else:
+        raw = 0.42293 * abs(b_bar) ** (-1.0 / 3.0) * sample.n ** (2.0 / 3.0)
+        k_hat = int(math.ceil(raw))
+        if k_hat < 1:
+            k_hat = 1
+            clamped = True
+        elif k_hat > k_cap:
+            k_hat = k_cap
+            clamped = True
+    if abs(a_hat) == 0.97:
+        clamped = True
+    return KSelection(
+        k_hat=k_hat, a_hat=a_hat, sigma_hat=sigma_hat, b_bar=b_bar, clamped=clamped
+    )
 
 
 def ar1_paths(n: int, rho: float, sigma: float, mu: float, v: np.ndarray) -> np.ndarray:

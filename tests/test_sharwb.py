@@ -312,6 +312,31 @@ class TestSharWbTest:
         assert run.n_redrawn == 2
         assert not np.any(np.isnan(run.replicate_stats))
 
+    def test_redrawn_replicate_takes_the_redraw_streams(self, fixed_pair, monkeypatch):
+        # a redraw of pair seed s draws group g's innovations from the
+        # stream of SeedSequence(s, spawn_key=(2, g))
+        y1, y2 = fixed_pair
+        group_fits = fits(y1, y2)
+        original = sharwb_mod._replicate_stats
+
+        def batch_with_hole(pairs, draw, batch=()):
+            out = original(pairs, draw, batch)
+            if out.ndim == 2:
+                out[0, 7] = np.nan
+            return out
+
+        monkeypatch.setattr(sharwb_mod, "_replicate_stats", batch_with_hole)
+        _, run = shar_wb_test(*group_fits, n_boot=49, seed=9)
+        assert run.n_redrawn == 1
+        v1, v2 = (
+            innovations(np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, g))),
+                        (2 * fit.k,), "normal").reshape(2, fit.k)
+            for g, fit in enumerate(group_fits)
+        )
+        assert run.replicate_stats[7] == kernel(group_fits, v1, v2)
+        assert run.replicate_stats[7] == pytest.approx(
+            oracles.replicate_stats(y1, y2, group_fits[0].k, group_fits[1].k, v1, v2), rel=1e-10)
+
     def test_redraw_abort_after_cap(self, fixed_pair, monkeypatch):
         y1, y2 = fixed_pair
         original = sharwb_mod._replicate_stats

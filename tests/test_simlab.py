@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -830,59 +831,98 @@ def lab_groups(scenario, chunk=256):
         yield y2s
 
 
-def one_sample_ks(samples) -> list:
-    return [lrv_mod.select_k(y).k_hat for y in samples]
+def oracle_ks(samples) -> list:
+    return [oracles.select_k(y).k_hat for y in samples]
+
+
+def selection_bytes(selection) -> tuple:
+    """A ``KSelection``'s five fields, its floats as their bytes."""
+    return (selection.k_hat, np.array([selection.a_hat, selection.sigma_hat, selection.b_bar]).tobytes(),
+            selection.clamped)
+
+
+def assert_selections_equal_the_oracle(samples):
+    """select_k on each sample, and on all of them in one call, against the
+    one-sample rule in Python floats."""
+    want = [selection_bytes(oracles.select_k(y)) for y in samples]
+    assert [selection_bytes(lrv_mod.select_k(y)) for y in samples] == want
+    ks, notes = lrv_mod.select_k(samples)
+    assert ks.tolist() == [k for k, _, _ in want]
+    assert notes == [None] * len(samples)
 
 
 class TestColumnarK:
-    """select_k on a chunk's samples against the one-sample rule."""
+    """select_k, one sample at a time and on a chunk's samples, against the
+    one-sample rule in Python floats (``oracles.select_k``)."""
 
     @pytest.mark.parametrize("cell", BENCH_CELLS, ids=("c1", "c2", "c3", "c4a", "c4b"))
     def test_acceptance_cells(self, cell):
         # every replication of the acceptance suite's cells (seed 1234)
         for samples in lab_groups(Scenario(seed=1234, n_mc=2000, n_boot=199, **cell)):
             ks, notes = lrv_mod.select_k(samples)
-            assert ks.tolist() == one_sample_ks(samples)
+            assert ks.tolist() == oracle_ks(samples)
             assert notes == [None] * len(samples)
 
     @pytest.mark.parametrize("name", simlab_mod.PRESET_NAMES)
     def test_presets(self, name):
         for scenario in preset_scenarios(name, n_mc=40, n_boot=19):
             for samples in lab_groups(scenario):
-                assert lrv_mod.select_k(samples)[0].tolist() == one_sample_ks(samples)
+                assert lrv_mod.select_k(samples)[0].tolist() == oracle_ks(samples)
 
-    def test_near_integer_and_degenerate_rows_take_the_one_sample_rule(self, monkeypatch):
+    @pytest.mark.parametrize("name", [*simlab_mod.PRESET_NAMES, "acceptance-cells"])
+    def test_selection_bytes_on_lab_samples(self, name):
+        # both groups of every replication, n_mc = 200
+        if name == "acceptance-cells":
+            scenarios = [Scenario(seed=1234, n_mc=200, n_boot=199, **cell) for cell in BENCH_CELLS]
+        else:
+            scenarios = preset_scenarios(name, n_mc=200, n_boot=19)
+        for scenario in scenarios:
+            for samples in lab_groups(scenario):
+                assert_selections_equal_the_oracle(samples)
+
+    def test_selection_bytes_on_a_grid(self):
+        # short to long series, white to near unit-root, at scales 1e-5 to
+        # 1e5, all lengths in one call; a series whose B_bar is 0; and
+        # lengths 30 and 200 interleaved in one call
+        samples = [
+            TimeSeriesSample.from_values(
+                scale * simulate_series(t, rho, 1.0, 0.0, "normal", np.random.default_rng(seed)).values)
+            for t in (4, 5, 7, 13, 50, 1000)
+            for rho in (-0.9, 0.0, 0.97, 0.999)
+            for scale in 10.0 ** np.arange(-5, 6)
+            for seed in (0, 1)
+        ]
+        flat_curvature = TimeSeriesSample.from_values([1.0, 0.0, -1.0, 0.0] * 3)
+        assert oracles.select_k(flat_curvature).b_bar == 0.0
+        assert_selections_equal_the_oracle([*samples, flat_curvature])
+        rng = np.random.default_rng(31)
+        assert_selections_equal_the_oracle(
+            [simulate_series(t, 0.5, 1.0, 0.0, "normal", rng) for t in (30, 200, 200, 30, 200)])
+
+    def test_near_integer_and_degenerate_rows_match_the_oracle(self, monkeypatch):
         rng = np.random.default_rng(8)
         samples = simulate_series(120, 0.5, 1.0, 0.0, "normal", [rng] * 30)
         flat = TimeSeriesSample.from_values([3.0] * 120)
         # at 2^-538 the innovation variance underflows to zero
         tiny = TimeSeriesSample.from_values(np.ldexp(rng.standard_normal(120), -538))
         samples[4], samples[9] = flat, tiny
-        one_sample = []
-        original = lrv_mod.select_k
-
-        def recording(sample):
-            if isinstance(sample, TimeSeriesSample):
-                one_sample.append(sample)
-            return original(sample)
-
-        monkeypatch.setattr(lrv_mod, "select_k", recording)
         ks, notes = lrv_mod.select_k(samples)
         assert [i for i, note in enumerate(notes) if note] == [4, 9]
         assert notes[4] == "residuals carry no variation"
         assert notes[9] == "AR(1) innovations carry no variation"
+        for y, note in ((flat, notes[4]), (tiny, notes[9])):
+            with pytest.raises(DegenerateSampleError, match=re.escape(note)):
+                oracles.select_k(y)
         assert ks[4] == ks[9] == 1
-        assert one_sample == [flat, tiny]
         rest = [y for i, y in enumerate(samples) if i not in (4, 9)]
-        assert [k for i, k in enumerate(ks) if i not in (4, 9)] == one_sample_ks(rest)
-        # a curvature whose raw K is 10 up to rounding puts every row in reach
-        # of the ceiling, so each takes the one-sample rule
+        assert [k for i, k in enumerate(ks) if i not in (4, 9)] == oracle_ks(rest)
+        # a curvature whose raw K is 10 up to rounding puts every row in
+        # reach of the ceiling
         scale = (0.42293 * 120 ** (2.0 / 3.0) / 10.0) ** 3
         monkeypatch.setattr(lrv_mod, "_curvature_b", lambda a, sigma: scale * sigma)
-        one_sample.clear()
+        monkeypatch.setattr(oracles, "curvature_b", lambda a, sigma: scale * sigma)
         ks, _ = lrv_mod.select_k(rest)
-        assert one_sample == rest
-        assert set(ks.tolist()) <= {10, 11} and ks.tolist() == one_sample_ks(rest)
+        assert set(ks.tolist()) <= {10, 11} and ks.tolist() == oracle_ks(rest)
 
     def test_errors_of_a_one_sample_call_propagate(self):
         # a short ramp whose sigma_hat overflows, and a sample shorter than 4
@@ -894,6 +934,12 @@ class TestColumnarK:
             lrv_mod.select_k([*others, ramp])
         with pytest.raises(DomainError, match="T >= 4"):
             lrv_mod.select_k([*others, TimeSeriesSample.from_values([1.0, 2.0, 4.0])])
+        # at 0.3 of the largest energy sigma_hat is finite, but the
+        # curvature's terms overflow to inf - inf
+        steep = TimeSeriesSample.from_values(r * math.sqrt(0.3 * np.finfo(float).max / r.dot(r)))
+        for samples in (steep, [*others, steep]):
+            with pytest.raises(DomainError, match="curvature is not finite"):
+                lrv_mod.select_k(samples)
 
     def test_rebound_curvature_changes_the_labs_k(self, monkeypatch, one_process):
         # scripts/compare_k_calibrations.py rebinds lrv._curvature_b
@@ -917,7 +963,7 @@ class TestColumnarK:
         assert seen != quartic
         assert sum(map(sum, seen)) > sum(map(sum, quartic))  # the spectral rule takes more
         y1s, y2s, _ = simlab_mod._chunk_samples(scenario, range(20))
-        assert seen == [one_sample_ks(y1s), one_sample_ks(y2s)]
+        assert seen == [[lrv_mod.select_k(y).k_hat for y in ys] for ys in (y1s, y2s)]
 
 
 def test_chunk_reject_bits_equal_one_pair_reports(monkeypatch, fresh_workers):
